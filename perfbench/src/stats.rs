@@ -68,8 +68,8 @@ pub fn tail(xs: &[f64]) -> Option<(f64, f64)> {
 }
 
 /// Quartiles as Python's `statistics.quantiles(xs, n=4)` computes them
-/// (the default "exclusive" method), so spreads printed here match a
-/// driver that uses Python. Needs at least two samples.
+/// (the default "exclusive" method), so spreads printed here match ones
+/// computed from the result lines in Python. Needs at least two samples.
 pub fn quartiles(xs: &[f64]) -> Option<[f64; 3]> {
     let s = sorted(xs);
     let ld = s.len();
