@@ -25,14 +25,6 @@ use std::time::Duration;
 /// Repetitions of each timed step; the median is reported.
 const REPS: usize = 3;
 
-/// Where the battery's reference stream comes from.
-pub enum Stream {
-    /// The battery's generator at its seed.
-    Generator,
-    /// A `.silotrace` capture.
-    File(PathBuf),
-}
-
 /// One workload's inputs to the battery.
 pub struct Battery {
     /// The simulated machine.
@@ -43,8 +35,6 @@ pub struct Battery {
     pub generator: WorkloadSpec,
     /// The generator seed.
     pub seed: u64,
-    /// The stream the hot-loop passes run over.
-    pub stream: Stream,
     /// The workload as a scenario, for the service layers.
     pub scenario: String,
     /// A fresh directory for the battery's cache rows.
@@ -73,29 +63,19 @@ pub fn write_trace(rec: &SpanRecorder, workload: &str, seed: u64) {
 }
 
 impl Battery {
-    fn source(&self) -> Result<Box<dyn TraceSource>, String> {
-        Ok(match &self.stream {
-            Stream::Generator => Box::new(self.generator_source()),
-            Stream::File(p) => Box::new(TraceReader::open(p).map_err(|e| e.to_string())?),
-        })
-    }
-
-    fn generator_source(&self) -> SyntheticTrace {
+    /// The battery's generator at its seed.
+    pub fn generator_source(&self) -> SyntheticTrace {
         SyntheticTrace::new(&self.generator, self.cfg.cores, self.cfg.scale, self.seed)
     }
 
-    /// Runs every step, adding each layer's metrics to `report`.
-    pub fn run(&self, report: &mut Report, tracer: &Tracer) {
+    /// Runs every step over the workload's own input `source`, adding
+    /// each layer's metrics to `report`.
+    pub fn run(&self, source: &mut dyn TraceSource, report: &mut Report, tracer: &Tracer) {
         let (traces, _) = tracer.span("materialise", "trace", None, |_| {
             let mut traces: Vec<Vec<MemRef>> = vec![Vec::new(); self.cfg.cores];
-            let mut src = self.source()?;
-            drain(&mut *src, self.cfg.cores, |c, mr| traces[c].push(mr));
-            Ok::<_, String>(traces)
+            drain(source, self.cfg.cores, |c, mr| traces[c].push(mr));
+            traces
         });
-        let traces = match traces {
-            Ok(t) => t,
-            Err(e) => return report.check(false, &format!("materialising the stream: {e}")),
-        };
         let refs: usize = traces.iter().map(Vec::len).sum();
         report.check(refs > 0, "the battery stream is empty");
         self.workload_layer(report, tracer);

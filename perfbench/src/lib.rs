@@ -41,3 +41,22 @@ pub fn run_workload(
         _ => return None,
     })
 }
+
+/// A command that reruns this benchmark's executable on one workload,
+/// so the child's peak memory is that workload's alone.
+///
+/// # Errors
+///
+/// Fails when the running executable cannot be located.
+pub fn workload_command(
+    workload: &str,
+    seed: u64,
+    seconds: f64,
+    trace: bool,
+) -> std::io::Result<std::process::Command> {
+    let mut cmd = std::process::Command::new(std::env::current_exe()?);
+    cmd.args(["--workload", workload, "--seed", &seed.to_string()])
+        .args(["--seconds", &seconds.to_string()])
+        .args(["--trace", if trace { "1" } else { "0" }]);
+    Ok(cmd)
+}

@@ -37,7 +37,8 @@ const TIME_PCT: f64 = 90.0;
 pub const DEFAULT_SEED: u64 = 42;
 
 /// `workload seed sha256` lines: the simulated statistics of each loop
-/// workload's base pass at [`DEFAULT_SEED`].
+/// workload's base pass, and `serve-fig11`'s base sweep document, at
+/// [`DEFAULT_SEED`].
 const PINNED: &str = include_str!("../digests.txt");
 
 /// Which hot loop runs.
@@ -146,7 +147,7 @@ pub fn stats_digest(stats: &RunStats, timing: &TimingModel) -> String {
 }
 
 /// The pinned digest of `workload` at `seed`, if any.
-fn pinned(workload: &str, seed: u64) -> Option<&'static str> {
+pub fn pinned(workload: &str, seed: u64) -> Option<&'static str> {
     PINNED.lines().find_map(|line| {
         let mut f = line.split_whitespace();
         (f.next()? == workload && f.next()?.parse::<u64>().ok()? == seed).then_some(f.next()?)
@@ -387,12 +388,18 @@ impl Loop {
             );
             let (tail_p, tail_ms) = tail(&cached_ms).unwrap_or((100.0, f64::NAN));
             println!(
-                "{}: cached tail is p{tail_p} of {}",
+                "{}: cached passes: p{TIME_PCT} and tail p{tail_p} of {}",
                 self.name(),
                 cached_ms.len()
             );
+            report.put("cached_ms", pct(&cached_ms, TIME_PCT), "ms");
             report.put("cached_tail_ms", tail_ms, "ms");
-            self.battery(scratch).run(&mut report, &tracer);
+            match self.source(0) {
+                Ok(mut source) => self
+                    .battery(scratch)
+                    .run(&mut *source, &mut report, &tracer),
+                Err(e) => report.check(false, &format!("battery input: {e}")),
+            }
             if let Some(rec) = tracer.recorder() {
                 layers::write_trace(rec, self.name(), self.seed);
             }
@@ -401,10 +408,9 @@ impl Loop {
         let speedup = self.speedup(&base.stats);
         report.check(speedup.is_ok(), "counterpart pass for silo_speedup");
         println!(
-            "{}: p{TIME_PCT} of {} cold and {} cached passes and {} set-ups",
+            "{}: p{TIME_PCT} of {} cold passes and {} set-ups",
             self.name(),
             cold_ms.len(),
-            cached_ms.len(),
             setups.len()
         );
         report.put(
@@ -417,7 +423,6 @@ impl Loop {
         report.put("sim_ipc", base.stats.ipc(), "1");
         report.put("silo_speedup", speedup.unwrap_or(f64::NAN), "x");
         report.put("cold_ms", pct(&cold_ms, TIME_PCT), "ms");
-        report.put("cached_ms", pct(&cached_ms, TIME_PCT), "ms");
         report.put("ok_ratio", report.ok_ratio(), "1");
         report
     }
@@ -446,10 +451,6 @@ impl Loop {
             systems: vec![self.system.clone()],
             generator: self.spec.clone(),
             seed: self.seed,
-            stream: match self.kind {
-                LoopKind::Silo => layers::Stream::Generator,
-                LoopKind::Replay => layers::Stream::File(self.base_trace.clone()),
-            },
             scenario,
             scratch: scratch.path().join("battery"),
         }

@@ -6,13 +6,14 @@
 //! ```
 //!
 //! Without `--workload`, every workload runs. The first form runs each
-//! workload in turn and ends each one's output with one JSON line; the
+//! workload in turn, in a child process of its own when there are
+//! several, and ends each one's output with one JSON line; the
 //! second reruns each workload in child processes, one seed per run,
 //! and prints each metric's median and quartiles.
 
 use perfbench::env::Scratch;
 use perfbench::loops::DEFAULT_SEED;
-use perfbench::{run_workload, steady, WORKLOADS};
+use perfbench::{run_workload, steady, workload_command, WORKLOADS};
 use std::process::ExitCode;
 
 struct Args {
@@ -83,21 +84,42 @@ fn main() -> ExitCode {
     if let Some(runs) = args.steady {
         return steady::run(&workloads, runs, args.seed, args.seconds, args.trace);
     }
-    for workload in &workloads {
-        let scratch = match Scratch::new() {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("perfbench: scratch directory: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let report = run_workload(workload, args.seed, args.seconds, args.trace, &scratch)
-            .expect("workload names are validated while parsing");
-        drop(scratch);
-        for (name, value, unit) in report.metrics() {
-            println!("{workload}: {name} = {value} {unit}");
-        }
-        println!("{}", report.json_line());
+    if let [workload] = &workloads[..] {
+        return run_one(workload, args.seed, args.seconds, args.trace);
     }
+    // Several workloads: each in a child process of its own, so that
+    // `peak_rss_mib` is that workload's peak, not an earlier one's.
+    let mut ok = true;
+    for workload in &workloads {
+        let status = workload_command(workload, args.seed, args.seconds, args.trace)
+            .and_then(|mut cmd| cmd.status());
+        if !matches!(&status, Ok(s) if s.success()) {
+            eprintln!("perfbench: {workload}: {status:?}");
+            ok = false;
+        }
+    }
+    if ok {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
+}
+
+/// Runs `workload` in this process: its metrics, then its JSON line.
+fn run_one(workload: &str, seed: u64, seconds: f64, trace: bool) -> ExitCode {
+    let scratch = match Scratch::new() {
+        Ok(s) => s,
+        Err(e) => {
+            eprintln!("perfbench: scratch directory: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    let report = run_workload(workload, seed, seconds, trace, &scratch)
+        .expect("workload names are validated while parsing");
+    drop(scratch);
+    for (name, value, unit) in report.metrics() {
+        println!("{workload}: {name} = {value} {unit}");
+    }
+    println!("{}", report.json_line());
     ExitCode::SUCCESS
 }

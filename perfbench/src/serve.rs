@@ -4,7 +4,8 @@
 
 use crate::env::{derive_seed, peak_rss_mib, Scratch, Tracer};
 use crate::http;
-use crate::layers::{self, Battery, Stream};
+use crate::layers::{self, Battery};
+use crate::loops::{pinned, DEFAULT_SEED};
 use crate::stats::{median, pct, tail, Report};
 use silo_serve::{ServeConfig, ServerHandle};
 use silo_sim::{Json, SimJobEngine};
@@ -17,19 +18,18 @@ use std::time::{Duration, Instant};
 /// times report the 90th percentile.
 const COLD_PCT: f64 = 90.0;
 
-/// The percentile of cached request latencies reported. A cached request
-/// takes a millisecond or two, about as long as the scheduling stalls the
-/// host inflicts now and then, and the share of stalled requests swings
-/// the upper percentiles from run to run; the median repeats.
+/// The percentile of cached request latencies the traced run reports. A
+/// cached request takes a millisecond or two, about as long as the
+/// scheduling stalls the host inflicts now and then, and the share of
+/// stalled requests swings the upper percentiles from run to run.
 const CACHED_PCT: f64 = 50.0;
-
-/// The percentile of daemon start times reported. A start takes about a
-/// millisecond and stalls swing even its median; the 10th percentile
-/// repeats.
-const SETUP_PCT: f64 = 10.0;
 
 /// Cached resubmissions sent after each cold submission.
 pub const CACHED_PER_COLD: usize = 4;
+
+/// Set-up samples taken after each cold submission and its cached
+/// resubmissions.
+const RESTARTS_PER_ITER: usize = 4;
 
 /// The sweep of `examples/paper_fig11.scenario` (four builtin systems
 /// x three workloads, warmup and epoch telemetry on) at `seed`. Kept
@@ -164,6 +164,20 @@ pub fn prom_value(text: &str, name: &str) -> Option<f64> {
         .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.trim().parse().ok())
 }
 
+/// One set-up sample: a daemon started on the cache directory `dir`
+/// until its first `/healthz` answers. The daemon is shut down after
+/// the clock stops.
+///
+/// # Errors
+///
+/// Describes a failed start.
+fn restart(dir: &Path) -> Result<Duration, String> {
+    let t = Instant::now();
+    let daemon = Daemon::start(dir).map_err(|e| e.to_string())?;
+    daemon.wait_healthy()?;
+    Ok(t.elapsed())
+}
+
 /// Simulated references one sweep of `scenario` runs.
 fn sweep_refs(scenario: &str) -> Result<u64, String> {
     use silo_serve::JobEngine;
@@ -190,6 +204,29 @@ fn doc_sim(doc: &str) -> Option<(f64, f64)> {
     Some((silo_types::geomean(&ipcs), speedup))
 }
 
+/// Drops every `wall_ms` field, recursively: the one host-dependent
+/// value in a sweep document.
+fn strip_wall_ms(v: Json) -> Json {
+    match v {
+        Json::Obj(fields) => Json::Obj(
+            fields
+                .into_iter()
+                .filter(|(k, _)| k != "wall_ms")
+                .map(|(k, v)| (k, strip_wall_ms(v)))
+                .collect(),
+        ),
+        Json::Arr(items) => Json::Arr(items.into_iter().map(strip_wall_ms).collect()),
+        other => other,
+    }
+}
+
+/// A digest of a sweep document's simulated content: its canonical
+/// text with every `wall_ms` dropped.
+pub fn doc_digest(doc: &str) -> Result<String, String> {
+    let text = strip_wall_ms(Json::parse(doc)?).to_string();
+    Ok(silo_types::sha::sha256_hex(text.as_bytes()))
+}
+
 /// Runs the workload for `seconds`; with `trace`, reports the
 /// per-layer metrics instead of the end-to-end ones.
 pub fn run(seed: u64, seconds: f64, trace: bool, scratch: &Scratch) -> Report {
@@ -201,21 +238,32 @@ pub fn run(seed: u64, seconds: f64, trace: bool, scratch: &Scratch) -> Report {
             return report;
         }
     };
-    // Set-up: start a daemon on a fresh cache directory until its first
-    // `/healthz` answers. Every iteration starts (and drops) one more,
-    // spreading the samples over the run.
-    let mut setups = Vec::new();
-    let mut start = |i: u64, report: &mut Report| {
-        let t = Instant::now();
-        let started = Daemon::start(&scratch.path().join(format!("cache-{i}")))
-            .map_err(|e| e.to_string())
-            .and_then(|d| d.wait_healthy().map(|()| d));
-        report.check(started.is_ok(), "daemon start");
-        setups.push(t.elapsed().as_secs_f64());
-        started.ok()
-    };
-    let Some(daemon) = start(0, &mut report) else {
+    // The daemon under load, on a fresh cache directory.
+    let daemon = Daemon::start(&scratch.path().join("cache"))
+        .map_err(|e| e.to_string())
+        .and_then(|d| d.wait_healthy().map(|()| d));
+    report.check(
+        daemon.is_ok(),
+        &format!("daemon start: {:?}", daemon.as_ref().err()),
+    );
+    let Ok(daemon) = daemon else {
         return report;
+    };
+    // Set-up: daemon restarts on a cache directory of their own, which
+    // a first, untimed start creates and no request ever writes to, so
+    // every sample starts on an existing, empty cache. Creating the
+    // directories is left out: on the ext4 disk the benchmark was built
+    // on it takes longer than the rest of a start and swings widely
+    // from one run to the next (see README.md). Each iteration adds
+    // `RESTARTS_PER_ITER` samples, spreading them over the run.
+    let probe_dir = scratch.path().join("restart");
+    if let Err(e) = restart(&probe_dir) {
+        report.check(false, &format!("daemon start: {e}"));
+    }
+    let mut setups = Vec::new();
+    let mut sample_setup = |report: &mut Report| match restart(&probe_dir) {
+        Ok(d) => setups.push(d.as_secs_f64()),
+        Err(e) => report.check(false, &format!("daemon restart: {e}")),
     };
     let addr = daemon.addr();
     let tracer = if trace {
@@ -280,16 +328,33 @@ pub fn run(seed: u64, seconds: f64, trace: bool, scratch: &Scratch) -> Report {
             untraced_iters.push(it.elapsed().as_secs_f64());
         }
         k += 1;
-        drop(start(k, &mut report));
+        for _ in 0..RESTARTS_PER_ITER {
+            sample_setup(&mut report);
+        }
     }
-    let base = done
+    let base_doc = done
         .iter()
         .find(|(s, _)| *s == seed)
-        .and_then(|(_, d)| doc_sim(d));
+        .map(|(_, d)| d.as_str());
+    let base = base_doc.and_then(doc_sim);
     report.check(
         base.is_some(),
         "the base sweep's document carries IPCs and a speedup",
     );
+    match base_doc.map(doc_digest) {
+        Some(Ok(digest)) => {
+            println!("serve-fig11: document digest at seed {seed}: {digest}");
+            if seed == DEFAULT_SEED {
+                let want = pinned("serve-fig11", seed);
+                report.check(
+                    want == Some(digest.as_str()),
+                    &format!("document digest {digest} != pinned {want:?}"),
+                );
+            }
+        }
+        Some(Err(e)) => report.check(false, &format!("document digest: {e}")),
+        None => {}
+    }
     if trace {
         report.put(
             "trace_overhead_ratio",
@@ -299,13 +364,14 @@ pub fn run(seed: u64, seconds: f64, trace: bool, scratch: &Scratch) -> Report {
         drop(daemon);
         let (tail_p, tail_ms) = tail(&cached_ms).unwrap_or((100.0, f64::NAN));
         println!(
-            "serve-fig11: cached tail is p{tail_p} of {}",
+            "serve-fig11: cached requests: p{CACHED_PCT} and tail p{tail_p} of {}",
             cached_ms.len()
         );
+        report.put("cached_ms", pct(&cached_ms, CACHED_PCT), "ms");
         report.put("cached_tail_ms", tail_ms, "ms");
         let battery = battery(seed, scratch);
         match battery {
-            Ok(b) => b.run(&mut report, &tracer),
+            Ok(b) => b.run(&mut b.generator_source(), &mut report, &tracer),
             Err(e) => report.check(false, &format!("battery plan: {e}")),
         }
         if let Some(rec) = tracer.recorder() {
@@ -314,20 +380,17 @@ pub fn run(seed: u64, seconds: f64, trace: bool, scratch: &Scratch) -> Report {
         return report;
     }
     println!(
-        "serve-fig11: p{COLD_PCT} of {} cold, p{CACHED_PCT} of {} cached requests, \
-         p{SETUP_PCT} of {} daemon starts",
+        "serve-fig11: p{COLD_PCT} of {} cold requests, median of {} daemon restarts",
         cold_s.len(),
-        cached_ms.len(),
         setups.len()
     );
     let (ipc, speedup) = base.unwrap_or((f64::NAN, f64::NAN));
     report.put("refs_per_s", refs as f64 / pct(&cold_s, COLD_PCT), "1/s");
-    report.put("setup_s", pct(&setups, SETUP_PCT), "s");
+    report.put("setup_s", median(&setups), "s");
     report.put("peak_rss_mib", peak_rss_mib(), "MiB");
     report.put("sim_ipc", ipc, "1");
     report.put("silo_speedup", speedup, "x");
     report.put("cold_ms", pct(&cold_s, COLD_PCT) * 1e3, "ms");
-    report.put("cached_ms", pct(&cached_ms, CACHED_PCT), "ms");
     report.put("ok_ratio", report.ok_ratio(), "1");
     report
 }
@@ -345,7 +408,6 @@ fn battery(seed: u64, scratch: &Scratch) -> Result<Battery, String> {
         systems: spec.systems.clone(),
         generator: point.workload,
         seed: spec.seed,
-        stream: Stream::Generator,
         scenario,
         scratch: scratch.path().join("battery"),
     })

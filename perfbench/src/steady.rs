@@ -6,7 +6,7 @@
 use crate::stats::{median, quartiles};
 use silo_sim::Json;
 use std::collections::BTreeMap;
-use std::process::{Command, ExitCode};
+use std::process::ExitCode;
 
 /// `name -> bound` of the end-to-end metrics in `BENCHMARK.json` in the
 /// working directory; empty when it cannot be read.
@@ -35,16 +35,8 @@ fn child(
     seconds: f64,
     trace: bool,
 ) -> Result<BTreeMap<String, f64>, String> {
-    let exe = std::env::current_exe().map_err(|e| e.to_string())?;
-    let out = Command::new(exe)
-        .args(["--workload", workload, "--seed", &seed.to_string()])
-        .args([
-            "--seconds",
-            &seconds.to_string(),
-            "--trace",
-            if trace { "1" } else { "0" },
-        ])
-        .output()
+    let out = crate::workload_command(workload, seed, seconds, trace)
+        .and_then(|mut cmd| cmd.output())
         .map_err(|e| e.to_string())?;
     let stdout = String::from_utf8_lossy(&out.stdout);
     let last = stdout.lines().last().unwrap_or_default();
@@ -94,7 +86,8 @@ pub fn run(workloads: &[String], runs: usize, seed: u64, seconds: f64, trace: bo
             let spread = (q3 - q1) / m.abs();
             let bound = bounds.get(name).map_or(String::new(), |b| format!("{b}"));
             let flag = match bounds.get(name) {
-                Some(b) if name != "setup_s" && spread > b / 3.0 => " > bound/3",
+                Some(&b) if spread > b => " > bound",
+                Some(&b) if spread > b / 3.0 => " > bound/3",
                 _ => "",
             };
             println!("  {name:<34} {q1:>14.6} {m:>14.6} {q3:>14.6} {spread:>8.4} {bound:>7}{flag}");

@@ -1,9 +1,9 @@
 //! The benchmark's own arithmetic: the tail-percentile rule, the
-//! quartiles behind the steadiness spreads, the metric-name grammar and
-//! the result line.
+//! quartiles behind the steadiness spreads, the metric-name grammar,
+//! the result line and the sweep-document digest.
 
 use perfbench::env::derive_seed;
-use perfbench::serve::prom_value;
+use perfbench::serve::{doc_digest, prom_value};
 use perfbench::stats::{median, percentile, quartiles, tail, valid_name, Report, TAIL_MIN_BEYOND};
 use silo_sim::Json;
 
@@ -124,4 +124,15 @@ fn prometheus_values_are_read_by_exact_name() {
     assert_eq!(prom_value(text, "a_total"), Some(3.0));
     assert_eq!(prom_value(text, "b_sum"), Some(5.5));
     assert_eq!(prom_value(text, "c"), None);
+}
+
+#[test]
+fn document_digests_ignore_wall_time_only() {
+    let doc = |wall: f64, ipc: f64| {
+        format!(r#"{{"points":[{{"wall_ms":{wall},"silo":{{"ipc":{ipc},"wall_ms":{wall}}}}}]}}"#)
+    };
+    let base = doc_digest(&doc(1.5, 1.25)).expect("parses");
+    assert_eq!(doc_digest(&doc(9.0, 1.25)), Ok(base.clone()));
+    assert_ne!(doc_digest(&doc(1.5, 1.5)), Ok(base));
+    assert!(doc_digest("not json").is_err());
 }
