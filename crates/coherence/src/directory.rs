@@ -214,18 +214,9 @@ impl DuplicateTagDirectory {
         self.entries.get(&line).map_or(State::I, |e| e.get(node))
     }
 
-    /// Records a directory lookup (sharer scan) and returns the full
-    /// per-node state vector (I for absent). Thin allocating wrapper
-    /// around [`DuplicateTagDirectory::lookup_states`]; hot callers
-    /// should use the iterator (or [`DuplicateTagDirectory::lookup_view`])
-    /// instead.
-    pub fn lookup(&mut self, line: LineAddr) -> Vec<State> {
-        self.lookup_states(line).collect()
-    }
-
-    /// Records a directory lookup and iterates the per-node states
-    /// without allocating (I for absent). Same accounting as
-    /// [`DuplicateTagDirectory::lookup`].
+    /// Records a directory lookup (sharer scan) and iterates the
+    /// per-node states without allocating (I for absent). Same
+    /// accounting as [`DuplicateTagDirectory::lookup_view`].
     pub fn lookup_states(&mut self, line: LineAddr) -> impl Iterator<Item = State> + '_ {
         self.lookups += 1;
         let entry = self.entries.get(&line);
@@ -443,7 +434,8 @@ mod tests {
         let mut d = DuplicateTagDirectory::new(4);
         assert_eq!(d.state_of(LineAddr::new(1), 0), State::I);
         assert!(d.is_uncached(LineAddr::new(1)));
-        assert_eq!(d.lookup(LineAddr::new(1)), vec![State::I; 4]);
+        let states: Vec<State> = d.lookup_states(LineAddr::new(1)).collect();
+        assert_eq!(states, vec![State::I; 4]);
         assert_eq!(d.lookups(), 1);
     }
 
@@ -569,7 +561,7 @@ mod tests {
         assert_eq!(v.mask, 1 << 31 | 1 << 17 | 1);
         assert_eq!(v.owner, Some((31, State::O)));
         assert_eq!(d.first_holder_except(LineAddr::new(7), 0), Some(17));
-        assert_eq!(d.lookup(LineAddr::new(7)).len(), 32);
+        assert_eq!(d.lookup_states(LineAddr::new(7)).count(), 32);
         assert!(d.check_invariants().is_ok());
     }
 
@@ -579,9 +571,10 @@ mod tests {
         d.set_state(LineAddr::new(11), 1, State::O);
         d.set_state(LineAddr::new(11), 3, State::S);
         let via_iter: Vec<State> = d.lookup_states(LineAddr::new(11)).collect();
-        let via_vec = d.lookup(LineAddr::new(11));
-        assert_eq!(via_iter, via_vec);
         assert_eq!(via_iter, vec![State::I, State::O, State::I, State::S]);
+        let view = d.lookup_view(LineAddr::new(11));
+        assert_eq!(view.mask, 0b1010);
+        assert_eq!(view.owner, Some((1, State::O)));
         assert_eq!(d.lookups(), 2, "each lookup flavour counts once");
         // Absent lines iterate all-I without creating an entry.
         assert_eq!(

@@ -13,7 +13,7 @@
 //! Like the other observability engines, the log never touches simulated
 //! state: it records what the *host* process did, when.
 
-use crate::json_escape;
+use silo_types::write_json_escaped;
 use std::collections::VecDeque;
 use std::fs::File;
 use std::io::Write;
@@ -82,15 +82,20 @@ impl LogRecord {
     /// Renders the record as one NDJSON line (no trailing newline).
     pub fn ndjson(&self) -> String {
         let mut out = format!(
-            "{{\"seq\":{},\"ts_us\":{},\"level\":\"{}\",\"target\":\"{}\",\"msg\":\"{}\"",
+            "{{\"seq\":{},\"ts_us\":{},\"level\":\"{}\"",
             self.seq,
             self.unix_us,
             self.level.as_str(),
-            json_escape(&self.target),
-            json_escape(&self.message),
         );
-        for (k, v) in &self.fields {
-            out.push_str(&format!(",\"{}\":\"{}\"", json_escape(k), json_escape(v)));
+        let fields = [("target", &self.target), ("msg", &self.message)]
+            .into_iter()
+            .chain(self.fields.iter().map(|(k, v)| (k.as_str(), v)));
+        for (k, v) in fields {
+            out.push_str(",\"");
+            let _ = write_json_escaped(&mut out, k);
+            out.push_str("\":\"");
+            let _ = write_json_escaped(&mut out, v);
+            out.push('"');
         }
         out.push('}');
         out

@@ -13,8 +13,9 @@
 //! daemon spans routinely start on one thread (enqueue) and finish on
 //! another (worker), where scope-guard APIs mislead.
 
-use crate::json_escape;
+use silo_types::write_json_escaped;
 use std::collections::VecDeque;
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -198,19 +199,19 @@ pub(crate) fn chrome_document(spans: &[Span]) -> String {
         if i > 0 {
             out.push(',');
         }
-        out.push_str(&format!(
-            "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
-             \"pid\":1,\"tid\":{},\"args\":{{\"id\":{}{}}}}}",
-            json_escape(&s.name),
-            json_escape(&s.cat),
-            s.start_us,
-            s.dur_us,
-            s.tid,
-            s.id,
-            s.parent
-                .map(|p| format!(",\"parent\":{p}"))
-                .unwrap_or_default(),
-        ));
+        out.push_str("{\"name\":\"");
+        let _ = write_json_escaped(&mut out, &s.name);
+        out.push_str("\",\"cat\":\"");
+        let _ = write_json_escaped(&mut out, &s.cat);
+        let _ = write!(
+            out,
+            "\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":1,\"tid\":{},\"args\":{{\"id\":{}",
+            s.start_us, s.dur_us, s.tid, s.id
+        );
+        if let Some(p) = s.parent {
+            let _ = write!(out, ",\"parent\":{p}");
+        }
+        out.push_str("}}");
     }
     out.push_str("]}\n");
     out

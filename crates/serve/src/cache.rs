@@ -24,7 +24,8 @@
 //!   renamed into place; everything completed before the crash is
 //!   served on restart (the `--resume` path).
 
-use std::io;
+use std::fs::File;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -40,6 +41,27 @@ const EVENTS_DIR: &str = "events";
 const ROW_EXT: &str = "json";
 /// Event sidecar extension.
 const EVENTS_EXT: &str = "ndjson";
+
+/// Writes `bytes` to `path` through a sibling `<path>.tmp` file renamed
+/// into place, so a reader — or a restart after a crash — sees either no
+/// file or the whole of it, never a torn write. The temp file is synced
+/// before the rename and the directory after it, so the write also
+/// survives a power loss once this returns. The temp name derives from
+/// `path`, so two daemons writing the same row race only against
+/// identical bytes.
+///
+/// # Errors
+///
+/// Propagates filesystem errors.
+pub(crate) fn write_atomic(path: &Path, bytes: impl AsRef<[u8]>) -> io::Result<()> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let mut file = File::create(&tmp)?;
+    file.write_all(bytes.as_ref())?;
+    file.sync_all()?;
+    std::fs::rename(&tmp, path)?;
+    File::open(path.parent().expect("callers write below a directory"))?.sync_all()
+}
 
 /// A content-addressed row store rooted at one directory.
 pub struct RowCache {
@@ -155,14 +177,9 @@ impl RowCache {
         let path = self
             .path_for(key)
             .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "malformed cache key"))?;
-        let dir = path.parent().expect("row path has a shard directory");
-        std::fs::create_dir_all(dir)?;
-        // The temp name includes the key, so two daemons writing the
-        // same row race only against identical bytes.
-        let tmp = dir.join(format!("{key}.tmp"));
-        std::fs::write(&tmp, row)?;
+        std::fs::create_dir_all(path.parent().expect("row path has a shard directory"))?;
         let existed = path.exists();
-        std::fs::rename(&tmp, &path)?;
+        write_atomic(&path, row)?;
         if !existed {
             let now = self.entries.fetch_add(1, Ordering::Relaxed) + 1;
             if now > self.max_entries as u64 {
@@ -198,16 +215,13 @@ impl RowCache {
         let path = self
             .events_path_for(key)
             .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "malformed cache key"))?;
-        let dir = path.parent().expect("events path has a shard directory");
-        std::fs::create_dir_all(dir)?;
-        let tmp = dir.join(format!("{key}.tmp"));
+        std::fs::create_dir_all(path.parent().expect("events path has a shard directory"))?;
         let mut text = String::new();
         for e in events {
             text.push_str(e);
             text.push('\n');
         }
-        std::fs::write(&tmp, text)?;
-        std::fs::rename(&tmp, &path)
+        write_atomic(&path, text)
     }
 
     /// Removes oldest-modified rows until the count is back under the

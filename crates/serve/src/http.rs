@@ -272,26 +272,6 @@ pub fn finish_chunked(w: &mut impl Write) -> std::io::Result<()> {
     w.flush()
 }
 
-/// Escapes `s` for embedding in a JSON string literal (the daemon's
-/// hand-built status/error bodies).
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -390,12 +370,5 @@ mod tests {
             text.ends_with("5\r\nrow1\n\r\n5\r\nrow2\n\r\n0\r\n\r\n"),
             "{text}"
         );
-    }
-
-    #[test]
-    fn json_escape_handles_specials() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
-        assert_eq!(json_escape("plain"), "plain");
     }
 }

@@ -27,8 +27,9 @@ use std::time::{Duration, Instant};
 
 use silo_obs::metrics::{Counter, Gauge, Histo, Registry};
 use silo_obs::{EventLog, LogLevel, SpanRecorder};
+use silo_types::write_json_escaped;
 
-use crate::cache::RowCache;
+use crate::cache::{write_atomic, RowCache};
 use crate::http;
 use crate::{JobEngine, JobPlan, PointOutput};
 
@@ -571,9 +572,12 @@ fn submit<E: JobEngine>(
 
     if journal {
         // Write-ahead: the body hits disk before any point runs, so a
-        // crash after this line cannot lose the accepted job.
+        // crash after this line cannot lose the accepted job. The write
+        // is atomic: a crash during it leaves only a `.job.tmp`, which
+        // resume ignores, never a truncated `.job` that could parse as
+        // a different scenario.
         let entry = format!("client {client}\npriority {priority}\n\n{body}");
-        std::fs::write(shared.journal_path(id), entry)
+        write_atomic(&shared.journal_path(id), entry)
             .map_err(|e| SubmitError::Io(format!("journal write failed: {e}")))?;
         shared.log.debug(
             "serve.journal",
@@ -1017,8 +1021,15 @@ fn error_response(
     status: u16,
     message: &str,
 ) -> io::Result<u16> {
-    let body = format!("{{\"error\":\"{}\"}}\n", http::json_escape(message));
-    respond(ctx, w, status, "application/json", &body)
+    respond(ctx, w, status, "application/json", &error_body("", message))
+}
+
+/// `{<prefix>"error":"<message>"}` and a newline, `message` escaped.
+fn error_body(prefix: &str, message: &str) -> String {
+    let mut body = format!("{{{prefix}\"error\":\"");
+    let _ = write_json_escaped(&mut body, message);
+    body.push_str("\"}\n");
+    body
 }
 
 fn route<E: JobEngine>(
@@ -1256,7 +1267,12 @@ fn handle_job_status<E: JobEngine>(
     let (state, error) = match &job.phase {
         JobPhase::Active => ("active", String::new()),
         JobPhase::Complete => ("complete", String::new()),
-        JobPhase::Failed(e) => ("failed", format!(",\"error\":\"{}\"", http::json_escape(e))),
+        JobPhase::Failed(e) => {
+            let mut field = String::from(",\"error\":\"");
+            let _ = write_json_escaped(&mut field, e);
+            field.push('"');
+            ("failed", field)
+        }
     };
     let body = format!(
         "{{\"job\":{id},\"state\":\"{state}\",\"points\":{},\"done\":{},\
@@ -1401,14 +1417,14 @@ fn handle_stream<E: JobEngine>(
             }
             Step::Done => break,
             Step::Fail(e) => {
-                let chunk = if epoch_mode {
-                    format!(
-                        "{{\"type\":\"error\",\"error\":\"{}\"}}\n",
-                        http::json_escape(&e)
-                    )
-                } else {
-                    format!("{{\"error\":\"{}\"}}\n", http::json_escape(&e))
-                };
+                let chunk = error_body(
+                    if epoch_mode {
+                        "\"type\":\"error\","
+                    } else {
+                        ""
+                    },
+                    &e,
+                );
                 shared.metrics.stream_bytes.add(chunk.len() as u64);
                 http::write_chunk(w, &chunk)?;
                 break;

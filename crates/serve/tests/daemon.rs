@@ -1097,6 +1097,45 @@ fn resume_emits_journal_replay_log_events_and_log_out_persists_them() {
 }
 
 #[test]
+fn torn_journal_writes_are_not_replayed_on_resume() {
+    // A daemon killed while journalling leaves only the temp file of the
+    // entry it was writing. Its cut body still parses — as a different
+    // job ("points = 1" of "points = 12") — so resume must not replay it.
+    let dir = temp_dir("torn");
+    std::fs::create_dir_all(dir.join("queue")).expect("queue dir");
+    std::fs::write(
+        dir.join("queue/3.job"),
+        "client a\npriority 0\n\nname = whole\npoints = 2\n",
+    )
+    .expect("journal entry");
+    std::fs::write(
+        dir.join("queue/4.job.tmp"),
+        "client a\npriority 0\n\nname = torn\npoints = 1",
+    )
+    .expect("torn entry");
+
+    let (engine, runs) = MockEngine::new(Gate::opened());
+    let server = start(
+        engine,
+        ServeConfig {
+            addr: "127.0.0.1:0".to_string(),
+            cache_dir: dir.clone(),
+            resume: true,
+            ..ServeConfig::default()
+        },
+    )
+    .expect("start");
+    let addr = server.addr();
+    let result = get(addr, "/jobs/1/result");
+    assert_eq!(result.status, 200, "{}", result.body);
+    assert!(result.body.starts_with("whole ["), "{}", result.body);
+    assert_eq!(get(addr, "/jobs/2").status, 404, "the torn entry ran");
+    assert_eq!(runs.load(Ordering::SeqCst), 2, "only the whole entry ran");
+    server.shutdown();
+    server.join();
+}
+
+#[test]
 fn shutdown_endpoint_acknowledges_then_drains() {
     let (engine, _) = MockEngine::new(Gate::opened());
     let server = start(engine, config("shutdown")).expect("start");

@@ -20,11 +20,8 @@
 use crate::config::{SystemConfig, VaultDesign};
 use crate::error::ConfigError;
 use crate::json::Json;
-use crate::registry::{
-    run_system_on_source_checked, run_system_on_source_metered, run_system_on_source_profiled,
-    SystemSpec,
-};
-use crate::run::{RunStats, PROFILE_PHASES};
+use crate::registry::SystemSpec;
+use crate::run::{RunMode, RunStats, PROFILE_PHASES};
 use crate::workload::{SyntheticTrace, WorkloadSpec};
 use silo_coherence::ServedBy;
 use silo_obs::PhaseProfile;
@@ -71,22 +68,13 @@ pub struct SweepSpec {
     /// Telemetry meter applied to every run: warmup window and epoch
     /// sampling (disabled by default).
     pub meter: MeterConfig,
-    /// Run-time invariant oracle period: `Some(n)` replays the engine
-    /// and cross-layer invariants every `n` processed references of
-    /// every run (`--check`). `None` (the default) compiles the checks
-    /// out of the hot loop entirely. Deliberately *not* part of
-    /// [`MeterConfig`]: the meter is echoed into the `silo-bench/v1`
-    /// document, and checked runs must stay byte-identical to unchecked
+    /// How every run drives the hot loop: plain, with the run-time
+    /// invariant oracle (`--check`), or with the self-profiler
+    /// (`--profile`). Deliberately *not* part of [`MeterConfig`]: the
+    /// meter is echoed into the `silo-bench/v1` document, and checked or
+    /// profiled runs must keep that document byte-identical to plain
     /// ones.
-    pub check_every: Option<u64>,
-    /// Hot-loop self-profiler (`--profile`): samples per-phase
-    /// wall-clock for every run and attaches a
-    /// [`PhaseProfile`] to each [`SystemRun`]. Like `check_every`,
-    /// deliberately *not* part of [`MeterConfig`] — profiled runs must
-    /// keep the `silo-bench/v1` document byte-identical to unprofiled
-    /// ones. Mutually exclusive with `check_every` (the builder rejects
-    /// the combination).
-    pub profile: bool,
+    pub mode: RunMode,
 }
 
 impl SweepSpec {
@@ -151,7 +139,7 @@ pub struct SystemRun {
     /// epoch timeline (empty under a disabled meter).
     pub telemetry: Telemetry,
     /// Per-phase wall-clock of the hot loop, present only under
-    /// [`SweepSpec::profile`]. Host-dependent, so never rendered into
+    /// [`RunMode::Profiled`]. Host-dependent, so never rendered into
     /// the `silo-bench/v1` document.
     pub profile: Option<PhaseProfile>,
 }
@@ -208,7 +196,7 @@ impl BenchRecord {
 ///
 /// Panics if the point resolves to an invalid config or a replay file
 /// vanished since validation (the builder API checks both up front), or
-/// — under [`SweepSpec::check_every`] — when the invariant oracle
+/// — under [`RunMode::Checked`] — when the invariant oracle
 /// detects a violation. An oracle panic is a simulator bug, never a
 /// workload problem; the message names the system, workload, and
 /// reference count at detection.
@@ -224,46 +212,25 @@ pub fn run_point(spec: &SweepSpec, point: &SweepPoint) -> BenchRecord {
                 .source(cfg.cores, cfg.scale, spec.seed)
                 .expect("workload sources validated at build time");
             let t = Instant::now();
-            let (stats, telemetry, profile) = if spec.profile {
-                let (stats, telemetry, profile) = run_system_on_source_profiled(
-                    sys,
+            let out = sys
+                .run(
                     &cfg,
                     &point.workload.name,
                     &mut *source,
                     &spec.meter,
-                );
-                (stats, telemetry, Some(profile))
-            } else {
-                let (stats, telemetry) = match spec.check_every {
-                    None => run_system_on_source_metered(
-                        sys,
-                        &cfg,
-                        &point.workload.name,
-                        &mut *source,
-                        &spec.meter,
-                    ),
-                    Some(every) => run_system_on_source_checked(
-                        sys,
-                        &cfg,
-                        &point.workload.name,
-                        &mut *source,
-                        &spec.meter,
-                        every,
+                    spec.mode,
+                )
+                .unwrap_or_else(|e| {
+                    panic!(
+                        "--check detected a simulator bug on workload '{}': {e}",
+                        point.workload.name
                     )
-                    .unwrap_or_else(|e| {
-                        panic!(
-                            "--check detected a simulator bug on workload '{}': {e}",
-                            point.workload.name
-                        )
-                    }),
-                };
-                (stats, telemetry, None)
-            };
+                });
             SystemRun {
-                stats,
+                stats: out.stats,
                 wall_ms: t.elapsed().as_secs_f64() * 1e3,
-                telemetry,
-                profile,
+                telemetry: out.telemetry,
+                profile: out.profile,
             }
         })
         .collect();
@@ -686,8 +653,7 @@ mod tests {
             }],
             seed: 5,
             meter: MeterConfig::default(),
-            check_every: None,
-            profile: false,
+            mode: RunMode::Plain,
         }
     }
 
@@ -695,7 +661,7 @@ mod tests {
     fn profiled_sweep_matches_unprofiled_and_renders_profile_json() {
         let spec = tiny_spec();
         let profiled = SweepSpec {
-            profile: true,
+            mode: RunMode::Profiled,
             ..spec.clone()
         };
         let plain = run_sweep_sequential(&spec);

@@ -25,7 +25,8 @@ use crate::bench::SCHEMA_HOTLOOP;
 use crate::config::SystemConfig;
 use crate::error::ConfigError;
 use crate::json::Json;
-use crate::registry::{run_system_on_source_metered, SystemRegistry, SystemSpec};
+use crate::registry::{SystemRegistry, SystemSpec};
+use crate::run::RunMode;
 use crate::workload::WorkloadSpec;
 use silo_telemetry::MeterConfig;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -125,8 +126,16 @@ pub fn run_throughput(spec: &ThroughputSpec, threads: usize) -> Vec<ThroughputRo
             .source(cfg.cores, cfg.scale, spec.seed)
             .expect("builtin workloads always yield a source");
         let t = Instant::now();
-        let (stats, _) =
-            run_system_on_source_metered(sys, &cfg, &w.name, &mut *source, &MeterConfig::default());
+        let stats = sys
+            .run(
+                &cfg,
+                &w.name,
+                &mut *source,
+                &MeterConfig::default(),
+                RunMode::Plain,
+            )
+            .expect("plain runs cannot fail")
+            .stats;
         ThroughputRow {
             system: stats.system,
             workload: stats.workload,

@@ -12,9 +12,11 @@ use crate::bench::{self, BenchRecord, SweepSpec};
 use crate::config::{SystemConfig, VaultDesign};
 use crate::error::ConfigError;
 use crate::registry::{SystemRegistry, SystemSpec};
+use crate::run::RunMode;
 use crate::scenario::Scenario;
 use crate::workload::WorkloadSpec;
 use silo_telemetry::MeterConfig;
+use std::num::NonZeroU64;
 
 /// A fully validated, runnable comparison: N systems × workloads ×
 /// sweep axes. Construct through [`Simulation::builder`].
@@ -349,22 +351,30 @@ impl SimulationBuilder {
                 reason: "must be at least 1 reference per epoch".into(),
             });
         }
-        if self.check == Some(0) {
-            return Err(ConfigError::BadValue {
-                what: "check".into(),
-                value: "0".into(),
-                reason: "must be at least 1 reference between oracle sweeps".into(),
-            });
-        }
-        if self.profile && self.check.is_some() {
-            return Err(ConfigError::BadValue {
-                what: "profile".into(),
-                value: "on".into(),
-                reason: "cannot combine with check: the oracle sweeps would dominate \
-                         the phase timings"
-                    .into(),
-            });
-        }
+        let check = self
+            .check
+            .map(|n| {
+                NonZeroU64::new(n).ok_or_else(|| ConfigError::BadValue {
+                    what: "check".into(),
+                    value: "0".into(),
+                    reason: "must be at least 1 reference between oracle sweeps".into(),
+                })
+            })
+            .transpose()?;
+        let mode = match (check, self.profile) {
+            (None, false) => RunMode::Plain,
+            (None, true) => RunMode::Profiled,
+            (Some(every), false) => RunMode::Checked(every),
+            (Some(_), true) => {
+                return Err(ConfigError::BadValue {
+                    what: "profile".into(),
+                    value: "on".into(),
+                    reason: "cannot combine with check: the oracle sweeps would dominate \
+                             the phase timings"
+                        .into(),
+                })
+            }
+        };
         // Reject runs whose measurement window is provably empty — a
         // warmup window that swallows every reference — instead of
         // reporting undefined IPC and speedups. Trace workloads were
@@ -402,8 +412,7 @@ impl SimulationBuilder {
                     warmup_refs: self.warmup.unwrap_or(0),
                     epoch_refs: self.epoch,
                 },
-                check_every: self.check,
-                profile: self.profile,
+                mode,
             },
             threads: self.threads,
         })
@@ -705,8 +714,9 @@ mod tests {
     #[test]
     fn profile_reaches_the_spec_and_rejects_combining_with_check() {
         let sim = Simulation::builder().profile(true).build().expect("valid");
-        assert!(sim.spec().profile);
-        assert!(!Simulation::builder().build().expect("valid").spec().profile);
+        assert_eq!(sim.spec().mode, RunMode::Profiled);
+        let plain = Simulation::builder().build().expect("valid");
+        assert_eq!(plain.spec().mode, RunMode::Plain);
 
         let bad = Simulation::builder()
             .profile(true)
@@ -724,7 +734,7 @@ mod tests {
             .scenario(&scenario)
             .build()
             .expect("valid");
-        assert!(sim.spec().profile);
+        assert_eq!(sim.spec().mode, RunMode::Profiled);
     }
 
     #[test]
@@ -750,7 +760,7 @@ mod tests {
             let mut small = *cfg;
             small.llc_capacity = silo_types::ByteSize::from_bytes(cfg.llc_capacity.as_bytes() / 4);
             SystemInstance {
-                engine: crate::run::baseline_engine(&small).into(),
+                engine: crate::registry::baseline_engine(&small).into(),
                 timing: TimingModel::baseline(&small),
             }
         });

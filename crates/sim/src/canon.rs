@@ -286,7 +286,7 @@ systems = SILO,baseline
     fn threads_and_check_do_not_affect_the_hash() {
         let mut spec = spec_from(BASE);
         let base = sweep_hash(&spec).expect("hash");
-        spec.check_every = Some(100);
+        spec.mode = crate::run::RunMode::Checked(std::num::NonZeroU64::new(100).expect("nonzero"));
         assert_eq!(base, sweep_hash(&spec).expect("hash"));
     }
 

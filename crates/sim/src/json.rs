@@ -138,17 +138,7 @@ impl fmt::Display for Json {
 
 fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
     f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
-        }
-    }
+    silo_types::write_json_escaped(f, s)?;
     f.write_str("\"")
 }
 

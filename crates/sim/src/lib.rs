@@ -12,9 +12,12 @@
 //! The public API is scenario-first:
 //!
 //! * [`registry`] — a [`SystemRegistry`] of named [`SystemSpec`]
-//!   factories producing `Box<dyn Protocol>` engines: the paper's
-//!   SILO/baseline pair plus sensitivity variants (`silo-no-forward`,
-//!   `baseline-2x`), extensible at runtime.
+//!   factories, each producing an [`AnyEngine`] plus its
+//!   [`TimingModel`]: the paper's SILO/baseline pair plus sensitivity
+//!   variants (`silo-no-forward`, `baseline-2x`), extensible at runtime.
+//!   [`SystemSpec::run`] instantiates a system and drives it through
+//!   [`run_with`], whose [`RunMode`] selects a plain, invariant-checked
+//!   (`--check`), or self-profiled (`--profile`) run.
 //! * [`builder`] — [`Simulation::builder`] composes configs, systems,
 //!   workloads, and sweep axes; `build()` returns typed
 //!   [`ConfigError`]s instead of panicking.
@@ -90,15 +93,10 @@ pub use builder::{Simulation, SimulationBuilder};
 pub use config::{SystemConfig, VaultDesign};
 pub use error::ConfigError;
 pub use json::Json;
-pub use registry::{
-    run_system, run_system_on_source_checked, run_system_on_source_metered,
-    run_system_on_source_profiled, run_system_on_traces, run_system_on_traces_metered,
-    SystemInstance, SystemRegistry, SystemSpec,
-};
+pub use registry::{SystemInstance, SystemRegistry, SystemSpec};
 pub use report::{name_widths, print_report, render_report, render_row};
 pub use run::{
-    run, run_baseline, run_metered, run_metered_source, run_metered_source_checked,
-    run_metered_source_profiled, run_silo, run_source, AnyEngine, Protocol, RunStats, ServedCounts,
+    run_metered_source, run_with, AnyEngine, Protocol, RunMode, RunOutput, RunStats, ServedCounts,
     PROFILE_PHASES,
 };
 pub use scenario::Scenario;

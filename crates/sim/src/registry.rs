@@ -1,9 +1,9 @@
 //! The system registry: named factories producing protocol engines.
 //!
 //! A [`SystemSpec`] pairs a name and one-line description with a factory
-//! that instantiates a [`Protocol`](crate::Protocol) engine and its
-//! [`TimingModel`] from a
-//! [`SystemConfig`]. The [`SystemRegistry`] holds the built-in systems —
+//! that instantiates a protocol engine and its [`TimingModel`] from a
+//! [`SystemConfig`]; [`SystemSpec::run`] instantiates one and drives it
+//! through [`run_with`]. The [`SystemRegistry`] holds the built-in systems —
 //! the paper's SILO/baseline pair plus sensitivity variants — and accepts
 //! user-defined entries, so comparisons are N-way runtime data instead of
 //! a hardcoded pair.
@@ -18,25 +18,19 @@
 //! * `baseline-2x` — the baseline with doubled aggregate LLC capacity.
 
 use crate::config::SystemConfig;
-use crate::run::{
-    baseline_engine, run_metered_source, run_metered_source_checked, run_metered_source_profiled,
-    silo_engine, AnyEngine, RunStats,
-};
+use crate::run::{run_with, AnyEngine, RunMode, RunOutput};
 use crate::timing::TimingModel;
-use crate::workload::WorkloadSpec;
-use silo_obs::PhaseProfile;
-use silo_telemetry::{MeterConfig, Telemetry};
-use silo_trace::{SliceTrace, TraceSource};
+use silo_coherence::{PrivateMoesi, PrivateMoesiConfig, SharedMesi, SharedMesiConfig};
+use silo_telemetry::MeterConfig;
+use silo_trace::TraceSource;
 use silo_types::ByteSize;
 use std::fmt;
 use std::sync::Arc;
 
 /// A freshly instantiated system: the protocol engine plus the timing
-/// model pricing its steps. Built-in factories produce concrete
-/// [`AnyEngine`] variants (`.into()` from the engine type), so the run
-/// loop dispatches accesses through a match instead of a vtable;
-/// user-defined factories can keep boxing (`Box<dyn Protocol>` also
-/// converts via `.into()`).
+/// model pricing its steps. Factories wrap a built-in engine into its
+/// [`AnyEngine`] variant (`.into()` from the engine type), so the run
+/// loop dispatches accesses through a match instead of a vtable.
 pub struct SystemInstance {
     /// The protocol engine.
     pub engine: AnyEngine,
@@ -81,6 +75,45 @@ impl SystemSpec {
     /// Builds a fresh engine + timing model for `cfg`.
     pub fn instantiate(&self, cfg: &SystemConfig) -> SystemInstance {
         (self.factory)(cfg)
+    }
+
+    /// Instantiates this system for `cfg` and drives it over `source`
+    /// with [`run_with`]. The result's `system` field is the registry
+    /// name, regardless of what the underlying engine calls itself — so
+    /// variants like `silo-no-forward` and user-registered systems label
+    /// their rows correctly.
+    ///
+    /// # Errors
+    ///
+    /// Only under [`RunMode::Checked`]: the first invariant violation,
+    /// naming the system and the reference count at detection. A
+    /// violation indicates a simulator bug.
+    pub fn run(
+        &self,
+        cfg: &SystemConfig,
+        workload_name: &str,
+        source: &mut dyn TraceSource,
+        meter: &MeterConfig,
+        mode: RunMode,
+    ) -> Result<RunOutput, String> {
+        let mut inst = self.instantiate(cfg);
+        self.label(run_with(
+            &mut inst.engine,
+            &mut inst.timing,
+            cfg,
+            workload_name,
+            source,
+            meter,
+            mode,
+        ))
+    }
+
+    /// Names a run's outcome after this entry: the stats carry the
+    /// registry name, an oracle violation the system prefix.
+    pub(crate) fn label(&self, run: Result<RunOutput, String>) -> Result<RunOutput, String> {
+        let mut out = run.map_err(|e| format!("{}: invariant violation {e}", self.name))?;
+        out.stats.system.clone_from(&self.name);
+        Ok(out)
     }
 }
 
@@ -186,147 +219,37 @@ impl Default for SystemRegistry {
     }
 }
 
-/// Instantiates `sys` for `cfg` and runs it over `workload`: the dyn
-/// counterpart of [`crate::run_silo`] / [`crate::run_baseline`],
-/// bit-identical to them for the built-in `SILO` / `baseline` entries.
-/// The result's `system` field is the registry name, regardless of what
-/// the underlying engine calls itself — so variants like
-/// `silo-no-forward` and user-registered systems label their rows
-/// correctly.
-/// References stream from [`WorkloadSpec::source`] (lazy generation or
-/// file replay), so nothing is materialized.
-///
-/// # Panics
-///
-/// Panics when a `trace:file=` workload's file cannot be opened; use
-/// the builder API for fallible resolution.
-pub fn run_system(
-    sys: &SystemSpec,
-    cfg: &SystemConfig,
-    workload: &WorkloadSpec,
-    seed: u64,
-) -> RunStats {
-    let mut source = workload
-        .source(cfg.cores, cfg.scale, seed)
-        .expect("workload source");
-    run_system_on_source_metered(
-        sys,
-        cfg,
-        &workload.name,
-        &mut *source,
-        &MeterConfig::default(),
+/// Builds the SILO engine for a config.
+pub(crate) fn silo_engine(cfg: &SystemConfig, o_state_forwarding: bool) -> PrivateMoesi {
+    PrivateMoesi::new(
+        cfg.cores,
+        &PrivateMoesiConfig {
+            node_spec: cfg.node_spec,
+            vault_capacity: cfg.vault_capacity,
+            scale: cfg.scale,
+            ideal_miss_predict: cfg.ideal_miss_predict,
+            o_state_forwarding,
+        },
     )
-    .0
 }
 
-/// Like [`run_system`], but over pre-generated traces. Traces must come
-/// from `WorkloadSpec::generate` with the same `cfg.cores` /
-/// `cfg.scale` for results to be comparable.
-pub fn run_system_on_traces(
-    sys: &SystemSpec,
-    cfg: &SystemConfig,
-    workload_name: &str,
-    traces: &[Vec<silo_types::MemRef>],
-) -> RunStats {
-    run_system_on_traces_metered(sys, cfg, workload_name, traces, &MeterConfig::default()).0
-}
-
-/// [`run_system_on_traces`] with the telemetry meter attached. With the
-/// default meter the stats are bit-identical to the unmetered path.
-pub fn run_system_on_traces_metered(
-    sys: &SystemSpec,
-    cfg: &SystemConfig,
-    workload_name: &str,
-    traces: &[Vec<silo_types::MemRef>],
-    meter: &MeterConfig,
-) -> (RunStats, Telemetry) {
-    run_system_on_source_metered(sys, cfg, workload_name, &mut SliceTrace::new(traces), meter)
-}
-
-/// The streaming sweep-harness entry point behind `--warmup` /
-/// `--epoch`: instantiates `sys` and drives it over `source`.
-/// Bit-identical to the slice-based paths for the same reference
-/// stream.
-pub fn run_system_on_source_metered(
-    sys: &SystemSpec,
-    cfg: &SystemConfig,
-    workload_name: &str,
-    source: &mut dyn TraceSource,
-    meter: &MeterConfig,
-) -> (RunStats, Telemetry) {
-    let mut inst = sys.instantiate(cfg);
-    let (mut stats, telemetry) = run_metered_source(
-        &mut inst.engine,
-        &mut inst.timing,
-        cfg,
-        workload_name,
-        source,
-        meter,
-    );
-    stats.system = sys.name().to_string();
-    (stats, telemetry)
-}
-
-/// [`run_system_on_source_metered`] with the run-time invariant oracle
-/// enabled: every `check_every` references the engine's structural
-/// invariants and the loop's cross-layer assertions are replayed (see
-/// [`crate::run_metered_source_checked`]). Clean runs return results
-/// bit-identical to the unchecked path.
-///
-/// # Errors
-///
-/// Returns the first invariant violation, naming the system and the
-/// reference count at detection. A violation indicates a simulator bug.
-pub fn run_system_on_source_checked(
-    sys: &SystemSpec,
-    cfg: &SystemConfig,
-    workload_name: &str,
-    source: &mut dyn TraceSource,
-    meter: &MeterConfig,
-    check_every: u64,
-) -> Result<(RunStats, Telemetry), String> {
-    let mut inst = sys.instantiate(cfg);
-    let (mut stats, telemetry) = run_metered_source_checked(
-        &mut inst.engine,
-        &mut inst.timing,
-        cfg,
-        workload_name,
-        source,
-        meter,
-        check_every,
+/// Builds the shared-LLC baseline engine for a config.
+pub(crate) fn baseline_engine(cfg: &SystemConfig) -> SharedMesi {
+    SharedMesi::new(
+        cfg.cores,
+        &SharedMesiConfig {
+            node_spec: cfg.node_spec,
+            llc_capacity: cfg.llc_capacity,
+            llc_ways: cfg.llc_ways,
+            scale: cfg.scale,
+        },
     )
-    .map_err(|e| format!("{}: invariant violation {e}", sys.name()))?;
-    stats.system = sys.name().to_string();
-    Ok((stats, telemetry))
-}
-
-/// [`run_system_on_source_metered`] with the hot-loop self-profiler
-/// enabled (see [`crate::run_metered_source_profiled`]): the returned
-/// statistics and telemetry are bit-identical to the unprofiled path,
-/// plus a [`PhaseProfile`] of per-phase wall-clock samples.
-pub fn run_system_on_source_profiled(
-    sys: &SystemSpec,
-    cfg: &SystemConfig,
-    workload_name: &str,
-    source: &mut dyn TraceSource,
-    meter: &MeterConfig,
-) -> (RunStats, Telemetry, PhaseProfile) {
-    let mut inst = sys.instantiate(cfg);
-    let (mut stats, telemetry, profile) = run_metered_source_profiled(
-        &mut inst.engine,
-        &mut inst.timing,
-        cfg,
-        workload_name,
-        source,
-        meter,
-    );
-    stats.system = sys.name().to_string();
-    (stats, telemetry, profile)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workload::WorkloadSpec;
 
     #[test]
     fn builtin_registry_has_at_least_four_described_systems() {
@@ -373,9 +296,20 @@ mod tests {
         };
         let r = SystemRegistry::builtin();
         for name in ["SILO", "baseline", "silo-no-forward", "baseline-2x"] {
-            let stats = run_system(r.get(name).expect("builtin"), &cfg, &w, 1);
-            assert_eq!(stats.system, name);
-            assert!(stats.instructions > 0);
+            let mut source = w.source(cfg.cores, cfg.scale, 1).expect("source");
+            let out = r
+                .get(name)
+                .expect("builtin")
+                .run(
+                    &cfg,
+                    &w.name,
+                    &mut *source,
+                    &MeterConfig::default(),
+                    RunMode::Plain,
+                )
+                .expect("plain runs cannot fail");
+            assert_eq!(out.stats.system, name);
+            assert!(out.stats.instructions > 0);
         }
     }
 

@@ -10,67 +10,57 @@
 //! The loop is *streaming*: it pulls references one at a time from a
 //! [`TraceSource`] — a lazy synthetic generator, a `.silotrace` file
 //! reader, or an in-memory slice — so trace length is bounded by disk,
-//! not RAM. [`run`] / [`run_metered`] remain the slice-based
-//! conveniences; [`run_source`] / [`run_metered_source`] are the
-//! streaming entry points, bit-identical for the same reference stream.
+//! not RAM.
 //!
-//! [`run_metered_source`] additionally drives the telemetry subsystem:
-//! a [`MeterConfig`] warmup window resets the measurement aggregates
-//! mid-run (cache, directory, and bank-timing state are preserved) and
-//! an epoch [`silo_telemetry::Timeline`] samples IPC,
-//! served-by-level counts, LLC latency percentiles, mesh link
-//! utilization, and vault occupancy every `epoch_refs` references.
+//! [`run_with`] is the one entry point. Its [`RunMode`] picks the plain,
+//! invariant-checked (`--check`), or self-profiled (`--profile`) build
+//! of the loop once per run, and every mode returns the same simulated
+//! [`RunOutput`] for the same reference stream.
+//! [`crate::SystemSpec::run`] instantiates a registered system and calls
+//! it; [`run_metered_source`] is its plain-mode shorthand.
+//!
+//! Every run drives the telemetry subsystem: a [`MeterConfig`] warmup
+//! window resets the measurement aggregates mid-run (cache, directory,
+//! and bank-timing state are preserved) and an epoch
+//! [`silo_telemetry::Timeline`] samples IPC, served-by-level counts, LLC
+//! latency percentiles, mesh link utilization, and vault occupancy every
+//! `epoch_refs` references.
 
 use crate::config::SystemConfig;
 use crate::timing::{TimingModel, TimingProbe, TIMING_SUBPHASES, TP_MSHR};
-use crate::workload::WorkloadSpec;
 use silo_coherence::{
-    AccessResult, CoherenceStats, EngineProbe, PrivateMoesi, PrivateMoesiConfig, ServedBy,
-    SharedMesi, SharedMesiConfig, ENGINE_SUBPHASES, EP_DIR,
+    AccessResult, CoherenceStats, EngineProbe, PrivateMoesi, ServedBy, SharedMesi, ENGINE_SUBPHASES,
 };
 use silo_obs::{Lap, PhaseProfile};
 use silo_telemetry::{EpochEnv, MeterConfig, Recorder, ServiceLevel, Telemetry, Timeline};
-use silo_trace::{SliceTrace, TraceSource};
+use silo_trace::TraceSource;
 use silo_types::stats::{ratio, Counter, Histogram};
 use silo_types::{Cycles, MemRef};
+use std::num::NonZeroU64;
 use std::time::Instant;
 
-/// A protocol engine the simulation loop can drive. Object-safe, so the
-/// system registry can hand out `Box<dyn Protocol>` factories.
+/// A protocol engine the simulation loop can drive. [`AnyEngine`]
+/// implements it for the built-in engines; tests implement it to inject
+/// faults.
 pub trait Protocol {
-    /// Executes one reference from `core`.
-    fn access(&mut self, core: usize, mr: MemRef) -> AccessResult;
-    /// Executes one reference, writing into a caller-owned result so a
-    /// hot loop can reuse the step buffers across accesses. The default
-    /// delegates to [`Protocol::access`]; the built-in engines override
-    /// it with their allocation-free paths.
-    fn access_into(&mut self, core: usize, mr: MemRef, out: &mut AccessResult) {
-        *out = self.access(core, mr);
-    }
+    /// Executes one reference from `core`, writing into a caller-owned
+    /// result so a hot loop can reuse the step buffers across accesses.
+    fn access_into(&mut self, core: usize, mr: MemRef, out: &mut AccessResult);
     /// [`Protocol::access_into`] with sub-phase wall-clock attribution
     /// for the profiled run path: the engine laps its internal segments
     /// (lookup, directory, fill, writeback) into `probe` as it goes.
-    /// The default attributes the whole access to the directory bucket,
-    /// so custom engines still show up in the profile tree without
-    /// implementing lap placement.
     fn access_into_probed(
         &mut self,
         core: usize,
         mr: MemRef,
         out: &mut AccessResult,
         probe: &mut EngineProbe,
-    ) {
-        probe.begin();
-        self.access_into(core, mr, out);
-        probe.lap(EP_DIR);
-    }
+    );
     /// Hints that `core` will access `line` shortly (the run loop issues
     /// this one round-robin turn ahead of the matching
     /// [`Protocol::access_into`]). Implementations may warm host-side
     /// caches but must not change any observable simulation state.
-    fn prefetch(&self, core: usize, mr: MemRef) {
-        let _ = (core, mr);
-    }
+    fn prefetch(&self, core: usize, mr: MemRef);
     /// Display name of the system.
     fn system_name(&self) -> &str;
     /// The engine's coherence event counters.
@@ -80,118 +70,31 @@ pub trait Protocol {
     fn reset_coherence_stats(&mut self);
     /// Verifies the engine's structural invariants (directory caches,
     /// cache/directory agreement, occupancy). Called by the `--check`
-    /// oracle; the default accepts everything so custom engines opt in.
+    /// oracle.
     ///
     /// # Errors
     ///
     /// Returns a description of the first violation found.
-    fn check_invariants(&self) -> Result<(), String> {
-        Ok(())
-    }
+    fn check_invariants(&self) -> Result<(), String>;
 }
 
-impl Protocol for PrivateMoesi {
-    fn access(&mut self, core: usize, mr: MemRef) -> AccessResult {
-        PrivateMoesi::access(self, core, mr)
-    }
-    #[inline]
-    fn access_into(&mut self, core: usize, mr: MemRef, out: &mut AccessResult) {
-        PrivateMoesi::access_into(self, core, mr, out);
-    }
-    #[inline]
-    fn access_into_probed(
-        &mut self,
-        core: usize,
-        mr: MemRef,
-        out: &mut AccessResult,
-        probe: &mut EngineProbe,
-    ) {
-        PrivateMoesi::access_into_probed(self, core, mr, out, probe);
-    }
-    #[inline]
-    fn prefetch(&self, core: usize, mr: MemRef) {
-        self.prefetch_hint(core, mr.line);
-    }
-    fn system_name(&self) -> &str {
-        "SILO"
-    }
-    fn coherence_stats(&self) -> CoherenceStats {
-        self.stats()
-    }
-    fn reset_coherence_stats(&mut self) {
-        self.reset_stats();
-    }
-    fn check_invariants(&self) -> Result<(), String> {
-        self.check()
-    }
-}
-
-impl Protocol for SharedMesi {
-    fn access(&mut self, core: usize, mr: MemRef) -> AccessResult {
-        SharedMesi::access(self, core, mr)
-    }
-    #[inline]
-    fn access_into(&mut self, core: usize, mr: MemRef, out: &mut AccessResult) {
-        SharedMesi::access_into(self, core, mr, out);
-    }
-    #[inline]
-    fn access_into_probed(
-        &mut self,
-        core: usize,
-        mr: MemRef,
-        out: &mut AccessResult,
-        probe: &mut EngineProbe,
-    ) {
-        SharedMesi::access_into_probed(self, core, mr, out, probe);
-    }
-    #[inline]
-    fn prefetch(&self, _core: usize, mr: MemRef) {
-        self.prefetch_hint(mr.line);
-    }
-    fn system_name(&self) -> &str {
-        "baseline"
-    }
-    fn coherence_stats(&self) -> CoherenceStats {
-        self.stats()
-    }
-    fn reset_coherence_stats(&mut self) {
-        self.reset_stats();
-    }
-    fn check_invariants(&self) -> Result<(), String> {
-        self.check()
-    }
-}
-
-/// The engine holder the registry instantiates: built-in systems get
-/// concrete variants, so driving one through
-/// [`run_metered_source`]`::<AnyEngine>` turns the per-reference
-/// `access` call into a direct (inlinable) match arm instead of a
-/// vtable dispatch. User-registered engines keep the boxed fallback —
-/// one match + one virtual call, no slower than the old all-dyn path.
+/// The engine holder the registry instantiates: one variant per
+/// built-in engine, so driving one through [`run_with`]`::<AnyEngine>`
+/// turns the per-reference `access_into` call into a direct (inlinable)
+/// match arm instead of a vtable dispatch.
 pub enum AnyEngine {
     /// The SILO private-vault MOESI engine (either forwarding variant).
     Silo(PrivateMoesi),
     /// The shared-LLC MESI baseline (any capacity).
     Baseline(SharedMesi),
-    /// A user-registered engine behind dynamic dispatch.
-    Custom(Box<dyn Protocol>),
 }
 
 impl Protocol for AnyEngine {
-    #[inline]
-    fn access(&mut self, core: usize, mr: MemRef) -> AccessResult {
-        match self {
-            AnyEngine::Silo(e) => PrivateMoesi::access(e, core, mr),
-            AnyEngine::Baseline(e) => SharedMesi::access(e, core, mr),
-            AnyEngine::Custom(e) => e.access(core, mr),
-        }
-    }
     #[inline]
     fn access_into(&mut self, core: usize, mr: MemRef, out: &mut AccessResult) {
         match self {
             AnyEngine::Silo(e) => PrivateMoesi::access_into(e, core, mr, out),
             AnyEngine::Baseline(e) => SharedMesi::access_into(e, core, mr, out),
-            AnyEngine::Custom(e) => e.access_into(core, mr, out),
         }
     }
     #[inline]
@@ -205,7 +108,6 @@ impl Protocol for AnyEngine {
         match self {
             AnyEngine::Silo(e) => PrivateMoesi::access_into_probed(e, core, mr, out, probe),
             AnyEngine::Baseline(e) => SharedMesi::access_into_probed(e, core, mr, out, probe),
-            AnyEngine::Custom(e) => e.access_into_probed(core, mr, out, probe),
         }
     }
     #[inline]
@@ -213,35 +115,30 @@ impl Protocol for AnyEngine {
         match self {
             AnyEngine::Silo(e) => e.prefetch_hint(core, mr.line),
             AnyEngine::Baseline(e) => e.prefetch_hint(mr.line),
-            AnyEngine::Custom(e) => e.prefetch(core, mr),
         }
     }
     fn system_name(&self) -> &str {
         match self {
-            AnyEngine::Silo(e) => e.system_name(),
-            AnyEngine::Baseline(e) => e.system_name(),
-            AnyEngine::Custom(e) => e.system_name(),
+            AnyEngine::Silo(_) => "SILO",
+            AnyEngine::Baseline(_) => "baseline",
         }
     }
     fn coherence_stats(&self) -> CoherenceStats {
         match self {
-            AnyEngine::Silo(e) => e.coherence_stats(),
-            AnyEngine::Baseline(e) => e.coherence_stats(),
-            AnyEngine::Custom(e) => e.coherence_stats(),
+            AnyEngine::Silo(e) => e.stats(),
+            AnyEngine::Baseline(e) => e.stats(),
         }
     }
     fn reset_coherence_stats(&mut self) {
         match self {
-            AnyEngine::Silo(e) => e.reset_coherence_stats(),
-            AnyEngine::Baseline(e) => e.reset_coherence_stats(),
-            AnyEngine::Custom(e) => e.reset_coherence_stats(),
+            AnyEngine::Silo(e) => e.reset_stats(),
+            AnyEngine::Baseline(e) => e.reset_stats(),
         }
     }
     fn check_invariants(&self) -> Result<(), String> {
         match self {
             AnyEngine::Silo(e) => e.check(),
             AnyEngine::Baseline(e) => e.check(),
-            AnyEngine::Custom(e) => e.check_invariants(),
         }
     }
 }
@@ -255,12 +152,6 @@ impl From<PrivateMoesi> for AnyEngine {
 impl From<SharedMesi> for AnyEngine {
     fn from(e: SharedMesi) -> Self {
         AnyEngine::Baseline(e)
-    }
-}
-
-impl From<Box<dyn Protocol>> for AnyEngine {
-    fn from(e: Box<dyn Protocol>) -> Self {
-        AnyEngine::Custom(e)
     }
 }
 
@@ -316,36 +207,6 @@ fn service_level(s: ServedBy) -> ServiceLevel {
         ServedBy::SharedLlc => ServiceLevel::SharedLlc,
         ServedBy::Memory => ServiceLevel::Memory,
     }
-}
-
-/// Builds the SILO engine for a config (shared by the concrete
-/// [`run_silo`] path and the registry factories, so both construct
-/// byte-identical hierarchies).
-pub(crate) fn silo_engine(cfg: &SystemConfig, o_state_forwarding: bool) -> PrivateMoesi {
-    PrivateMoesi::new(
-        cfg.cores,
-        &PrivateMoesiConfig {
-            node_spec: cfg.node_spec,
-            vault_capacity: cfg.vault_capacity,
-            scale: cfg.scale,
-            ideal_miss_predict: cfg.ideal_miss_predict,
-            o_state_forwarding,
-        },
-    )
-}
-
-/// Builds the shared-LLC baseline engine for a config (shared by
-/// [`run_baseline`] and the registry factories).
-pub(crate) fn baseline_engine(cfg: &SystemConfig) -> SharedMesi {
-    SharedMesi::new(
-        cfg.cores,
-        &SharedMesiConfig {
-            node_spec: cfg.node_spec,
-            llc_capacity: cfg.llc_capacity,
-            llc_ways: cfg.llc_ways,
-            scale: cfg.scale,
-        },
-    )
 }
 
 /// Per-service-level access counts.
@@ -404,7 +265,7 @@ impl ServedCounts {
 /// Aggregated results of one (system, workload) run.
 ///
 /// `PartialEq` compares every simulated field, so tests can assert two
-/// runs are bit-identical (e.g. dyn-dispatch vs. concrete-type paths).
+/// runs are bit-identical (e.g. profiled vs. plain runs).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RunStats {
     /// Registry name of the system ("SILO", "baseline", or a variant).
@@ -608,81 +469,6 @@ fn epoch_env<'a>(
     }
 }
 
-/// Drives `engine` over per-core traces, interleaving cores round-robin,
-/// and prices every access with `timing`. Returns aggregate statistics.
-/// Equivalent to [`run_metered`] with a disabled meter.
-///
-/// # Panics
-///
-/// Panics if `traces.len()` differs from the configured core count.
-pub fn run<P: Protocol + ?Sized>(
-    engine: &mut P,
-    timing: &mut TimingModel,
-    cfg: &SystemConfig,
-    workload_name: &str,
-    traces: &[Vec<MemRef>],
-) -> RunStats {
-    run_metered(
-        engine,
-        timing,
-        cfg,
-        workload_name,
-        traces,
-        &MeterConfig::default(),
-    )
-    .0
-}
-
-/// [`run`] with the telemetry subsystem attached: after
-/// `meter.warmup_refs` processed references the measurement aggregates
-/// reset (simulated state is untouched), and every `meter.epoch_refs`
-/// references the timeline records an epoch sample. With the default
-/// meter the returned [`RunStats`] are bit-identical to [`run`].
-///
-/// # Panics
-///
-/// Panics if `traces.len()` differs from the configured core count.
-pub fn run_metered<P: Protocol + ?Sized>(
-    engine: &mut P,
-    timing: &mut TimingModel,
-    cfg: &SystemConfig,
-    workload_name: &str,
-    traces: &[Vec<MemRef>],
-    meter: &MeterConfig,
-) -> (RunStats, Telemetry) {
-    assert_eq!(traces.len(), cfg.cores, "one trace per core");
-    run_metered_source(
-        engine,
-        timing,
-        cfg,
-        workload_name,
-        &mut SliceTrace::new(traces),
-        meter,
-    )
-}
-
-/// [`run`] over a streaming [`TraceSource`]: references are pulled one
-/// at a time, so trace length is bounded by the source (a file, a lazy
-/// generator), not by RAM. Bit-identical to [`run`] for the same
-/// reference stream.
-pub fn run_source<P: Protocol + ?Sized>(
-    engine: &mut P,
-    timing: &mut TimingModel,
-    cfg: &SystemConfig,
-    workload_name: &str,
-    source: &mut dyn TraceSource,
-) -> RunStats {
-    run_metered_source(
-        engine,
-        timing,
-        cfg,
-        workload_name,
-        source,
-        &MeterConfig::default(),
-    )
-    .0
-}
-
 /// Ends the warmup window: zeroes the measurement aggregates and takes
 /// counter baselines for the shared resources, but leaves caches,
 /// directories, and bank reservations as they are. Executes at most
@@ -777,12 +563,96 @@ fn oracle_sweep<P: Protocol + ?Sized>(
     Ok(())
 }
 
-/// The streaming core of the simulation: [`run_metered`] over a
-/// [`TraceSource`]. Cores are interleaved round-robin — one reference
-/// per live core per turn — until every core's stream is exhausted,
-/// which both matches the slice-era iteration order exactly (so results
-/// are bit-identical) and keeps file-backed replay memory bounded by
-/// the reader's buffer instead of the trace length.
+/// How [`run_with`] drives the hot loop. Each mode runs its own
+/// monomorphization of the loop, chosen once per run, so the
+/// per-reference path never tests the mode. Every mode only observes
+/// the simulation: the statistics and telemetry of a run are
+/// **bit-identical** across modes (the golden `check_oracle` and the
+/// profiled-sweep tests pin this).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum RunMode {
+    /// Simulate only; the oracle and the profiler are compiled out.
+    #[default]
+    Plain,
+    /// The run-time invariant oracle (`--check`): every `n` processed
+    /// references it replays the engine's structural invariants plus
+    /// the loop's own cross-layer assertions, and aborts the run with a
+    /// located error on the first violation.
+    Checked(NonZeroU64),
+    /// The hot-loop self-profiler (`--profile`): each of the
+    /// [`PROFILE_PHASES`] is wall-clock sampled per reference (trace
+    /// pull per round), and the engine and timing phases are further
+    /// attributed to the [`profile_phase_tree`] sub-phases by lap
+    /// probes.
+    Profiled,
+}
+
+/// Everything one run produces.
+#[derive(Clone, Debug)]
+pub struct RunOutput {
+    /// The simulated statistics.
+    pub stats: RunStats,
+    /// Named counters, latency histograms, and the epoch timeline
+    /// (empty under a disabled meter).
+    pub telemetry: Telemetry,
+    /// Per-phase wall-clock of the hot loop, present only under
+    /// [`RunMode::Profiled`].
+    pub profile: Option<PhaseProfile>,
+}
+
+/// The loop's signature, shared by its three monomorphizations.
+type RunCore<P> = fn(
+    &mut P,
+    &mut TimingModel,
+    &SystemConfig,
+    &str,
+    &mut dyn TraceSource,
+    &MeterConfig,
+    u64,
+) -> Result<RunOutput, String>;
+
+/// Drives `engine` over `source`, pricing every access with `timing`.
+/// Cores are interleaved round-robin — one reference per live core per
+/// turn — until every core's stream is exhausted, which keeps
+/// file-backed replay memory bounded by the reader's buffer instead of
+/// the trace length.
+///
+/// After `meter.warmup_refs` processed references the measurement
+/// aggregates reset (simulated state is untouched), and every
+/// `meter.epoch_refs` references the timeline records an epoch sample.
+///
+/// # Errors
+///
+/// Only under [`RunMode::Checked`]: returns the first invariant
+/// violation, prefixed with the number of references processed when it
+/// was detected. A violation indicates a simulator bug, not a workload
+/// problem.
+pub fn run_with<P: Protocol + ?Sized>(
+    engine: &mut P,
+    timing: &mut TimingModel,
+    cfg: &SystemConfig,
+    workload_name: &str,
+    source: &mut dyn TraceSource,
+    meter: &MeterConfig,
+    mode: RunMode,
+) -> Result<RunOutput, String> {
+    let (core, check_every): (RunCore<P>, u64) = match mode {
+        RunMode::Plain => (run_core::<P, false, false>, 0),
+        RunMode::Checked(every) => (run_core::<P, true, false>, every.get()),
+        RunMode::Profiled => (run_core::<P, false, true>, 0),
+    };
+    core(
+        engine,
+        timing,
+        cfg,
+        workload_name,
+        source,
+        meter,
+        check_every,
+    )
+}
+
+/// [`run_with`] in [`RunMode::Plain`], which cannot fail.
 pub fn run_metered_source<P: Protocol + ?Sized>(
     engine: &mut P,
     timing: &mut TimingModel,
@@ -791,102 +661,26 @@ pub fn run_metered_source<P: Protocol + ?Sized>(
     source: &mut dyn TraceSource,
     meter: &MeterConfig,
 ) -> (RunStats, Telemetry) {
-    let mut profile = PhaseProfile::new(&PROFILE_PHASES);
-    match run_core::<P, false, false>(
+    let out = run_with(
         engine,
         timing,
         cfg,
         workload_name,
         source,
         meter,
-        0,
-        &mut profile,
-    ) {
-        Ok(out) => out,
-        Err(e) => unreachable!("unchecked runs cannot fail: {e}"),
-    }
-}
-
-/// [`run_metered_source`] with the hot-loop self-profiler enabled: each
-/// of the [`PROFILE_PHASES`] is wall-clock sampled per reference (trace
-/// pull per round), the engine and timing phases are further attributed
-/// to the [`profile_phase_tree`] sub-phases by lap probes, and the
-/// accumulated hierarchical [`PhaseProfile`] is returned alongside the
-/// results. Profiling only reads the monotonic clock — it never touches
-/// simulated state — so the returned statistics and telemetry are
-/// **bit-identical** to [`run_metered_source`]. The unprofiled path is
-/// a separate monomorphization with every clock read compiled out, so
-/// leaving `--profile` off costs nothing.
-pub fn run_metered_source_profiled<P: Protocol + ?Sized>(
-    engine: &mut P,
-    timing: &mut TimingModel,
-    cfg: &SystemConfig,
-    workload_name: &str,
-    source: &mut dyn TraceSource,
-    meter: &MeterConfig,
-) -> (RunStats, Telemetry, PhaseProfile) {
-    let mut profile = PhaseProfile::with_tree(&profile_phase_tree());
-    match run_core::<P, false, true>(
-        engine,
-        timing,
-        cfg,
-        workload_name,
-        source,
-        meter,
-        0,
-        &mut profile,
-    ) {
-        Ok((stats, telemetry)) => (stats, telemetry, profile),
-        Err(e) => unreachable!("unchecked runs cannot fail: {e}"),
-    }
-}
-
-/// [`run_metered_source`] with the run-time invariant oracle enabled:
-/// every `check_every` processed references it replays the engine's
-/// structural invariants plus the loop's own cross-layer assertions
-/// and aborts the run with a located error on the first violation.
-///
-/// The oracle only observes — it never mutates simulated state — so a
-/// clean checked run returns statistics and telemetry **bit-identical**
-/// to the unchecked path (the golden `check_oracle` test pins this).
-/// The unchecked path is monomorphized with checking compiled out, so
-/// leaving `--check` off costs nothing.
-///
-/// # Errors
-///
-/// Returns the first invariant violation, prefixed with the number of
-/// references processed when it was detected. A violation indicates a
-/// simulator bug, not a workload problem.
-pub fn run_metered_source_checked<P: Protocol + ?Sized>(
-    engine: &mut P,
-    timing: &mut TimingModel,
-    cfg: &SystemConfig,
-    workload_name: &str,
-    source: &mut dyn TraceSource,
-    meter: &MeterConfig,
-    check_every: u64,
-) -> Result<(RunStats, Telemetry), String> {
-    run_core::<P, true, false>(
-        engine,
-        timing,
-        cfg,
-        workload_name,
-        source,
-        meter,
-        check_every.max(1),
-        &mut PhaseProfile::new(&PROFILE_PHASES),
+        RunMode::Plain,
     )
+    .unwrap_or_else(|e| unreachable!("unchecked runs cannot fail: {e}"));
+    (out.stats, out.telemetry)
 }
 
-/// The shared implementation behind the checked, unchecked, and
-/// profiled entry points. `CHECKED` and `PROFILED` are const generics
-/// so the oracle branch and the profiler's clock reads vanish from the
-/// monomorphizations that don't use them instead of costing a
+/// The loop behind [`run_with`]. `CHECKED` and `PROFILED` are const
+/// generics so the oracle branch and the profiler's clock reads vanish
+/// from the monomorphizations that don't use them instead of costing a
 /// per-reference test. Only three monomorphizations exist per engine
-/// type: unchecked, checked, and profiled (the builder rejects
-/// combining `--check` with `--profile` — the oracle sweep would
-/// dominate the phase timings).
-#[allow(clippy::too_many_arguments)]
+/// type, one per [`RunMode`] (the builder rejects combining `--check`
+/// with `--profile` — the oracle sweep would dominate the phase
+/// timings).
 fn run_core<P: Protocol + ?Sized, const CHECKED: bool, const PROFILED: bool>(
     engine: &mut P,
     timing: &mut TimingModel,
@@ -895,8 +689,14 @@ fn run_core<P: Protocol + ?Sized, const CHECKED: bool, const PROFILED: bool>(
     source: &mut dyn TraceSource,
     meter: &MeterConfig,
     check_every: u64,
-    profile: &mut PhaseProfile,
-) -> Result<(RunStats, Telemetry), String> {
+) -> Result<RunOutput, String> {
+    // Untouched unless PROFILED: the clock reads that fill it are
+    // compiled out of the other monomorphizations.
+    let mut profile = if PROFILED {
+        PhaseProfile::with_tree(&profile_phase_tree())
+    } else {
+        PhaseProfile::new(&PROFILE_PHASES)
+    };
     let mut cores: Vec<CoreState> = (0..cfg.cores).map(|_| CoreState::new(cfg.mlp)).collect();
     let mut served = ServedCounts::default();
     let mut llc_accesses = 0u64;
@@ -1122,45 +922,20 @@ fn run_core<P: Protocol + ?Sized, const CHECKED: bool, const PROFILED: bool>(
         recorder,
         timeline,
     };
-    Ok((stats, telemetry))
-}
-
-/// Builds and runs the SILO system over a workload (the concrete-type
-/// path; the registry's "SILO" entry produces bit-identical results
-/// through dyn dispatch). References stream from
-/// [`WorkloadSpec::source`] — lazily generated or replayed from file —
-/// so the trace is never materialized.
-///
-/// # Panics
-///
-/// Panics when a `trace:file=` workload's file cannot be opened; use
-/// the builder API for fallible resolution.
-pub fn run_silo(cfg: &SystemConfig, spec: &WorkloadSpec, seed: u64) -> RunStats {
-    let mut engine = silo_engine(cfg, true);
-    let mut timing = TimingModel::silo(cfg);
-    let mut source = spec
-        .source(cfg.cores, cfg.scale, seed)
-        .expect("workload source");
-    run_source(&mut engine, &mut timing, cfg, &spec.name, &mut *source)
-}
-
-/// Builds and runs the shared-LLC baseline over the same workload.
-///
-/// # Panics
-///
-/// Same as [`run_silo`].
-pub fn run_baseline(cfg: &SystemConfig, spec: &WorkloadSpec, seed: u64) -> RunStats {
-    let mut engine = baseline_engine(cfg);
-    let mut timing = TimingModel::baseline(cfg);
-    let mut source = spec
-        .source(cfg.cores, cfg.scale, seed)
-        .expect("workload source");
-    run_source(&mut engine, &mut timing, cfg, &spec.name, &mut *source)
+    Ok(RunOutput {
+        stats,
+        telemetry,
+        profile: PROFILED.then_some(profile),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::SystemRegistry;
+    use crate::workload::WorkloadSpec;
+    use silo_trace::SliceTrace;
+    use silo_types::{AccessKind, LineAddr};
 
     fn quick_spec() -> WorkloadSpec {
         WorkloadSpec {
@@ -1173,9 +948,64 @@ mod tests {
         SystemConfig::paper_16core().with_cores(4)
     }
 
+    /// Runs the registry system `name` over `spec`'s generated stream.
+    fn run_named(
+        name: &str,
+        cfg: &SystemConfig,
+        spec: &WorkloadSpec,
+        seed: u64,
+        mode: RunMode,
+    ) -> Result<RunOutput, String> {
+        let mut source = spec.source(cfg.cores, cfg.scale, seed).expect("source");
+        SystemRegistry::builtin().get(name).expect("builtin").run(
+            cfg,
+            &spec.name,
+            &mut *source,
+            &MeterConfig::default(),
+            mode,
+        )
+    }
+
+    /// Plain-mode statistics of the registry system `name` over `spec`.
+    fn stats_of(name: &str, cfg: &SystemConfig, spec: &WorkloadSpec, seed: u64) -> RunStats {
+        run_named(name, cfg, spec, seed, RunMode::Plain)
+            .expect("plain runs cannot fail")
+            .stats
+    }
+
+    /// SILO over per-core streams that each hammer one private line.
+    fn hit_only(cfg: &SystemConfig) -> RunStats {
+        let traces: Vec<Vec<MemRef>> = (0..cfg.cores)
+            .map(|c| {
+                let line = LineAddr::new(((c as u64 + 1) << 32) | 1);
+                (0..5_000)
+                    .map(|_| MemRef {
+                        line,
+                        kind: AccessKind::Read,
+                        gap_instructions: 3,
+                        dependent: false,
+                    })
+                    .collect()
+            })
+            .collect();
+        let mut inst = SystemRegistry::builtin()
+            .get("SILO")
+            .expect("builtin")
+            .instantiate(cfg);
+        run_metered_source(
+            &mut inst.engine,
+            &mut inst.timing,
+            cfg,
+            "hit-only",
+            &mut SliceTrace::new(&traces),
+            &MeterConfig::default(),
+        )
+        .0
+    }
+
     #[test]
     fn silo_run_produces_consistent_stats() {
-        let s = run_silo(&quick_cfg(), &quick_spec(), 1);
+        let s = stats_of("SILO", &quick_cfg(), &quick_spec(), 1);
         assert_eq!(s.system, "SILO");
         assert!(s.instructions > 0);
         assert!(s.cycles > Cycles::ZERO);
@@ -1187,7 +1017,7 @@ mod tests {
 
     #[test]
     fn baseline_run_uses_llc_not_vaults() {
-        let s = run_baseline(&quick_cfg(), &quick_spec(), 1);
+        let s = stats_of("baseline", &quick_cfg(), &quick_spec(), 1);
         assert_eq!(s.system, "baseline");
         assert_eq!(s.served.local_vault.get(), 0);
         assert_eq!(s.served.remote_vault.get(), 0);
@@ -1196,8 +1026,8 @@ mod tests {
 
     #[test]
     fn runs_are_deterministic() {
-        let a = run_silo(&quick_cfg(), &quick_spec(), 9);
-        let b = run_silo(&quick_cfg(), &quick_spec(), 9);
+        let a = stats_of("SILO", &quick_cfg(), &quick_spec(), 9);
+        let b = stats_of("SILO", &quick_cfg(), &quick_spec(), 9);
         assert_eq!(a.cycles, b.cycles);
         assert_eq!(a.instructions, b.instructions);
         assert_eq!(a.llc_accesses, b.llc_accesses);
@@ -1214,8 +1044,8 @@ mod tests {
         // `both_engines_agree_on_llc_access_counts`.
         let cfg = quick_cfg();
         let spec = quick_spec();
-        let a = run_silo(&cfg, &spec, 3);
-        let b = run_baseline(&cfg, &spec, 3);
+        let a = stats_of("SILO", &cfg, &spec, 3);
+        let b = stats_of("baseline", &cfg, &spec, 3);
         let diff = a.llc_accesses.abs_diff(b.llc_accesses) as f64;
         assert!(
             diff / b.llc_accesses as f64 <= 0.01,
@@ -1231,8 +1061,8 @@ mod tests {
         // fits the vault: SILO must win (the paper's Fig. 11 direction).
         let cfg = quick_cfg();
         let spec = quick_spec();
-        let silo = run_silo(&cfg, &spec, 7);
-        let base = run_baseline(&cfg, &spec, 7);
+        let silo = stats_of("SILO", &cfg, &spec, 7);
+        let base = stats_of("baseline", &cfg, &spec, 7);
         assert!(
             silo.ipc() > base.ipc(),
             "SILO {} <= baseline {}",
@@ -1247,24 +1077,7 @@ mod tests {
         // everything is an L1 hit, so throughput is capped by the base
         // CPI of 1 per core. The old loop charged only `gap` cycles for
         // `gap + 1` instructions and reported IPC = (gap+1)/gap > 1 here.
-        use silo_types::{AccessKind, LineAddr};
-        let cfg = SystemConfig::paper_16core().with_cores(1);
-        let mut engine = silo_engine(&cfg, true);
-        let mut timing = TimingModel::silo(&cfg);
-        let traces: Vec<Vec<MemRef>> = (0..cfg.cores)
-            .map(|c| {
-                let line = LineAddr::new(((c as u64 + 1) << 32) | 1);
-                (0..5_000)
-                    .map(|_| MemRef {
-                        line,
-                        kind: AccessKind::Read,
-                        gap_instructions: 3,
-                        dependent: false,
-                    })
-                    .collect()
-            })
-            .collect();
-        let s = run(&mut engine, &mut timing, &cfg, "hit-only", &traces);
+        let s = hit_only(&SystemConfig::paper_16core().with_cores(1));
         assert!(
             s.ipc() <= 1.0,
             "hit-only IPC {} exceeds the base-CPI-1 ceiling",
@@ -1277,24 +1090,8 @@ mod tests {
     fn hit_only_multicore_respects_per_core_ceiling() {
         // Aggregate IPC is throughput over the makespan, so the ceiling
         // for N perfectly pipelined cores is N x base CPI 1.
-        use silo_types::{AccessKind, LineAddr};
         let cfg = quick_cfg();
-        let mut engine = silo_engine(&cfg, true);
-        let mut timing = TimingModel::silo(&cfg);
-        let traces: Vec<Vec<MemRef>> = (0..cfg.cores)
-            .map(|c| {
-                let line = LineAddr::new(((c as u64 + 1) << 32) | 1);
-                (0..5_000)
-                    .map(|_| MemRef {
-                        line,
-                        kind: AccessKind::Read,
-                        gap_instructions: 3,
-                        dependent: false,
-                    })
-                    .collect()
-            })
-            .collect();
-        let s = run(&mut engine, &mut timing, &cfg, "hit-only", &traces);
+        let s = hit_only(&cfg);
         assert!(
             s.ipc() <= cfg.cores as f64,
             "hit-only aggregate IPC {} exceeds {} x base CPI",
@@ -1307,24 +1104,14 @@ mod tests {
     fn profiled_subphases_tile_their_parents_exactly() {
         // The lap probes take one clock read per segment boundary, so
         // the engine and timing children must sum to their parent to the
-        // nanosecond — no gaps, no double counting (the ISSUE's 5%
-        // budget is met by construction).
+        // nanosecond — no gaps, no double counting.
         let cfg = SystemConfig::paper_16core().with_cores(8);
         let spec = WorkloadSpec {
             refs_per_core: 2_000,
             ..WorkloadSpec::zipf_shared()
         };
-        let mut engine = silo_engine(&cfg, true);
-        let mut timing = TimingModel::silo(&cfg);
-        let mut source = spec.source(cfg.cores, cfg.scale, 5).expect("source");
-        let (stats, _tel, p) = run_metered_source_profiled(
-            &mut engine,
-            &mut timing,
-            &cfg,
-            &spec.name,
-            &mut *source,
-            &MeterConfig::default(),
-        );
+        let out = run_named("SILO", &cfg, &spec, 5, RunMode::Profiled).expect("profiled run");
+        let p = out.profile.expect("profiled runs carry a profile");
         assert_eq!(p.labels().len(), profile_phase_tree().len());
         let engine_children: u64 = p.children(PH_ENGINE).iter().map(|&i| p.nanos()[i]).sum();
         assert_eq!(engine_children, p.nanos()[PH_ENGINE]);
@@ -1336,8 +1123,7 @@ mod tests {
         // Every access goes through the lookup bucket at least once.
         assert!(p.nanos()[PH_ENGINE_CHILD0] > 0);
         // Profiling must not perturb the simulation.
-        let unprofiled = run_silo(&cfg, &spec, 5);
-        assert_eq!(stats, unprofiled);
+        assert_eq!(out.stats, stats_of("SILO", &cfg, &spec, 5));
     }
 
     #[test]
@@ -1351,13 +1137,111 @@ mod tests {
             dependent_fraction: 0.0,
             ..quick_spec()
         };
-        let slow = run_silo(&cfg, &chasing, 2);
-        let fast = run_silo(&cfg, &overlapped, 2);
+        let slow = stats_of("SILO", &cfg, &chasing, 2);
+        let fast = stats_of("SILO", &cfg, &overlapped, 2);
         assert!(
             slow.cycles > fast.cycles,
             "serialised {} <= overlapped {}",
             slow.cycles,
             fast.cycles
         );
+    }
+
+    /// A built-in engine whose invariant check starts failing once it
+    /// has executed `fail_after` references: a stand-in for a simulator
+    /// bug that corrupts protocol state mid-run.
+    struct Faulty {
+        inner: AnyEngine,
+        accesses: u64,
+        fail_after: u64,
+    }
+
+    impl Protocol for Faulty {
+        fn access_into(&mut self, core: usize, mr: MemRef, out: &mut AccessResult) {
+            self.accesses += 1;
+            self.inner.access_into(core, mr, out);
+        }
+        fn access_into_probed(
+            &mut self,
+            core: usize,
+            mr: MemRef,
+            out: &mut AccessResult,
+            probe: &mut EngineProbe,
+        ) {
+            self.accesses += 1;
+            self.inner.access_into_probed(core, mr, out, probe);
+        }
+        fn prefetch(&self, core: usize, mr: MemRef) {
+            self.inner.prefetch(core, mr);
+        }
+        fn system_name(&self) -> &str {
+            self.inner.system_name()
+        }
+        fn coherence_stats(&self) -> CoherenceStats {
+            self.inner.coherence_stats()
+        }
+        fn reset_coherence_stats(&mut self) {
+            self.inner.reset_coherence_stats();
+        }
+        fn check_invariants(&self) -> Result<(), String> {
+            if self.accesses >= self.fail_after {
+                return Err(format!("injected fault at access {}", self.accesses));
+            }
+            self.inner.check_invariants()
+        }
+    }
+
+    #[test]
+    fn checked_runs_report_the_first_sweep_after_a_fault() {
+        let cfg = quick_cfg();
+        let spec = quick_spec();
+        let sys = SystemRegistry::builtin()
+            .get("SILO")
+            .expect("builtin")
+            .clone();
+        let every = NonZeroU64::new(64).expect("nonzero");
+        let run_faulty = |fail_after: u64, mode: RunMode| {
+            let inst = sys.instantiate(&cfg);
+            let mut engine = Faulty {
+                inner: inst.engine,
+                accesses: 0,
+                fail_after,
+            };
+            let mut timing = inst.timing;
+            let mut source = spec.source(cfg.cores, cfg.scale, 1).expect("source");
+            run_with(
+                &mut engine,
+                &mut timing,
+                &cfg,
+                &spec.name,
+                &mut *source,
+                &MeterConfig::default(),
+                mode,
+            )
+        };
+        // The fault appears at reference 1000; the oracle sweeps every
+        // 64 references, so the first sweep to see it runs after 1024.
+        let err = run_faulty(1_000, RunMode::Checked(every)).expect_err("oracle must fire");
+        assert_eq!(err, "after 1024 refs: injected fault at access 1024");
+        // A fault on a sweep boundary is caught by that very sweep.
+        let err = run_faulty(640, RunMode::Checked(every)).expect_err("oracle must fire");
+        assert!(err.starts_with("after 640 refs:"), "{err}");
+        // Unchecked runs never consult the oracle.
+        let plain = run_faulty(1, RunMode::Plain).expect("plain runs cannot fail");
+        assert_eq!(plain.stats, stats_of("SILO", &cfg, &spec, 1));
+
+        // The registry names the failing system ahead of the location.
+        let err = sys
+            .label(run_faulty(1_000, RunMode::Checked(every)))
+            .expect_err("still failing");
+        assert_eq!(
+            err,
+            "SILO: invariant violation after 1024 refs: injected fault at access 1024"
+        );
+        // A clean checked run through `SystemSpec::run` is bit-identical
+        // to the plain one.
+        let checked = run_named("SILO", &cfg, &spec, 1, RunMode::Checked(every))
+            .expect("builtin engines hold their invariants");
+        assert_eq!(checked.stats, plain.stats);
     }
 }

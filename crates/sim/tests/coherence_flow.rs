@@ -5,7 +5,10 @@
 use silo_coherence::{
     PrivateMoesi, PrivateMoesiConfig, ServedBy, SharedMesi, SharedMesiConfig, State,
 };
-use silo_sim::{run_baseline, run_silo, Rng, SystemConfig, WorkloadSpec};
+mod common;
+
+use common::run_builtin;
+use silo_sim::{Rng, SystemConfig, WorkloadSpec};
 use silo_types::{LineAddr, MemRef};
 
 fn silo_engine(cores: usize) -> PrivateMoesi {
@@ -143,8 +146,8 @@ fn end_to_end_sixteen_core_comparison() {
             refs_per_core: 2_000,
             ..spec
         };
-        let silo = run_silo(&cfg, &spec, 42);
-        let base = run_baseline(&cfg, &spec, 42);
+        let silo = run_builtin("SILO", &cfg, &spec, 42);
+        let base = run_builtin("baseline", &cfg, &spec, 42);
         assert!(
             silo.served.fraction(ServedBy::LocalVault) > 0.0,
             "{}: SILO must serve accesses from the local vault",
@@ -168,7 +171,7 @@ fn end_to_end_sixteen_core_comparison() {
             base.ipc()
         );
 
-        let again = run_silo(&cfg, &spec, 42);
+        let again = run_builtin("SILO", &cfg, &spec, 42);
         assert_eq!(
             silo.cycles, again.cycles,
             "{}: nondeterministic run",

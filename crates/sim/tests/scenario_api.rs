@@ -1,72 +1,29 @@
-//! Integration tests for the scenario-first API: registry dyn-dispatch
-//! runs must be bit-identical to the old concrete-type paths, scenario
-//! files must round-trip to the same results as equivalent builder
-//! invocations, and malformed input must produce typed errors, never
-//! panics.
+//! Integration tests for the scenario-first API: registry variants must
+//! differ from their parents, scenario files must round-trip to the same
+//! results as equivalent builder invocations, and malformed input must
+//! produce typed errors, never panics.
 
-use silo_sim::{
-    run_baseline, run_silo, run_system, ConfigError, Scenario, Simulation, SystemConfig,
-    SystemRegistry, WorkloadSpec,
-};
+mod common;
+
+use common::run_builtin;
+use silo_sim::{ConfigError, Scenario, Simulation, SystemConfig, WorkloadSpec};
 use std::path::Path;
 
 fn quick_cfg() -> SystemConfig {
     SystemConfig::paper_16core().with_cores(4)
 }
 
-fn quick_spec() -> WorkloadSpec {
-    WorkloadSpec {
-        refs_per_core: 2_000,
-        ..WorkloadSpec::uniform_private()
-    }
-}
-
-#[test]
-fn dyn_dispatch_runs_are_bit_identical_to_concrete_runs() {
-    let cfg = quick_cfg();
-    let reg = SystemRegistry::builtin();
-    for spec in [
-        quick_spec(),
-        WorkloadSpec {
-            refs_per_core: 2_000,
-            ..WorkloadSpec::producer_consumer()
-        },
-    ] {
-        let silo_dyn = run_system(reg.get("SILO").expect("builtin"), &cfg, &spec, 42);
-        let silo_concrete = run_silo(&cfg, &spec, 42);
-        assert_eq!(
-            silo_dyn, silo_concrete,
-            "{}: registry SILO diverged from the concrete path",
-            spec.name
-        );
-
-        let base_dyn = run_system(reg.get("baseline").expect("builtin"), &cfg, &spec, 42);
-        let base_concrete = run_baseline(&cfg, &spec, 42);
-        assert_eq!(
-            base_dyn, base_concrete,
-            "{}: registry baseline diverged from the concrete path",
-            spec.name
-        );
-    }
-}
-
 #[test]
 fn registry_variants_actually_differ_from_their_parents() {
     let cfg = quick_cfg();
-    let reg = SystemRegistry::builtin();
     // producer-consumer exchanges dirty lines: the O state matters.
     let spec = WorkloadSpec {
         refs_per_core: 4_000,
         ..WorkloadSpec::producer_consumer()
     };
 
-    let silo = run_system(reg.get("SILO").expect("builtin"), &cfg, &spec, 42);
-    let no_fwd = run_system(
-        reg.get("silo-no-forward").expect("builtin"),
-        &cfg,
-        &spec,
-        42,
-    );
+    let silo = run_builtin("SILO", &cfg, &spec, 42);
+    let no_fwd = run_builtin("silo-no-forward", &cfg, &spec, 42);
     assert_eq!(no_fwd.system, "silo-no-forward");
     assert_ne!(
         silo.cycles, no_fwd.cycles,
@@ -79,8 +36,8 @@ fn registry_variants_actually_differ_from_their_parents() {
         silo.ipc()
     );
 
-    let base = run_system(reg.get("baseline").expect("builtin"), &cfg, &spec, 42);
-    let base2x = run_system(reg.get("baseline-2x").expect("builtin"), &cfg, &spec, 42);
+    let base = run_builtin("baseline", &cfg, &spec, 42);
+    let base2x = run_builtin("baseline-2x", &cfg, &spec, 42);
     assert_eq!(base2x.system, "baseline-2x");
     assert!(
         base2x.served.memory.get() < base.served.memory.get(),
@@ -155,11 +112,11 @@ fn three_way_scenario_keeps_pair_rows_bit_identical_to_concrete_runs() {
     };
     assert_eq!(
         records[0].run("SILO").expect("ran").stats,
-        run_silo(&cfg, &w, 9)
+        run_builtin("SILO", &cfg, &w, 9)
     );
     assert_eq!(
         records[0].run("baseline").expect("ran").stats,
-        run_baseline(&cfg, &w, 9)
+        run_builtin("baseline", &cfg, &w, 9)
     );
 }
 

@@ -189,7 +189,7 @@ fn corrupt_trace_files_are_rejected_at_build_time() {
 
     // Paths that bypass the builder hit the same validation:
     // WorkloadSpec::source verifies before streaming, so a truncated
-    // file cannot silently truncate a run_silo/run_system replay.
+    // file cannot silently truncate a `SystemSpec::run` replay.
     let p = dir.join("bad.silotrace");
     std::fs::write(&p, &valid[..valid.len() / 2]).expect("write corrupt file");
     let w = WorkloadSpec::parse(&format!("trace:file={}", p.display())).expect("parses");

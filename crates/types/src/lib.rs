@@ -458,9 +458,54 @@ pub fn geomean(values: &[f64]) -> f64 {
     (log_sum / values.len() as f64).exp()
 }
 
+/// Writes `s` into `out` escaped for a JSON string literal (quotes not
+/// included): the one escaper behind the simulator's JSON writer, the
+/// span-trace and log exporters, and the daemon's hand-built bodies.
+///
+/// # Errors
+///
+/// Propagates `out`'s write errors; writing into a `String` never fails.
+pub fn write_json_escaped<W: fmt::Write + ?Sized>(out: &mut W, s: &str) -> fmt::Result {
+    // Every escaped character is ASCII, so byte offsets before and after
+    // one are char boundaries and the plain runs between them can be
+    // copied as whole slices.
+    let mut plain = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if !matches!(b, b'"' | b'\\' | 0..=0x1f) {
+            continue;
+        }
+        out.write_str(&s[plain..i])?;
+        plain = i + 1;
+        match b {
+            b'"' => out.write_str("\\\"")?,
+            b'\\' => out.write_str("\\\\")?,
+            b'\n' => out.write_str("\\n")?,
+            b'\r' => out.write_str("\\r")?,
+            b'\t' => out.write_str("\\t")?,
+            _ => write!(out, "\\u{b:04x}")?,
+        }
+    }
+    out.write_str(&s[plain..])
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn json_escape_handles_specials() {
+        let esc = |s: &str| {
+            let mut out = String::new();
+            write_json_escaped(&mut out, s).expect("writing to a String cannot fail");
+            out
+        };
+        assert_eq!(esc("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        assert_eq!(esc("\u{1}"), "\\u0001");
+        assert_eq!(esc("\r\t\u{1f}"), "\\r\\t\\u001f");
+        assert_eq!(esc("plain"), "plain");
+        assert_eq!(esc("naïve → \"ok\""), "naïve → \\\"ok\\\"");
+        assert_eq!(esc(""), "");
+    }
 
     #[test]
     fn address_line_roundtrip() {
