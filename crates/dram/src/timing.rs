@@ -62,6 +62,9 @@ impl BankedResource {
 pub struct BankArray {
     banks: Vec<BankedResource>,
     service: Cycles,
+    /// `len - 1` when the bank count is a power of two, where
+    /// `scramble & mask` equals `scramble % len` without the division.
+    mask: Option<u64>,
 }
 
 impl BankArray {
@@ -76,6 +79,7 @@ impl BankArray {
         BankArray {
             banks: vec![BankedResource::new(); n_banks],
             service,
+            mask: n_banks.is_power_of_two().then(|| n_banks as u64 - 1),
         }
     }
 
@@ -96,8 +100,13 @@ impl BankArray {
 
     /// Bank index for a line (scrambled to decorrelate from allocation
     /// patterns).
+    #[inline]
     pub fn bank_of(&self, line: LineAddr) -> usize {
-        (line.scramble() % self.banks.len() as u64) as usize
+        let h = line.scramble();
+        match self.mask {
+            Some(mask) => (h & mask) as usize,
+            None => (h % self.banks.len() as u64) as usize,
+        }
     }
 
     /// Performs an access for `line` arriving at `now`: reserves the
@@ -180,6 +189,23 @@ mod tests {
             seen.insert(arr.bank_of(LineAddr::new(i)));
         }
         assert!(seen.len() > 12, "only {} banks used", seen.len());
+    }
+
+    #[test]
+    fn bank_of_is_the_scrambled_line_modulo_the_bank_count() {
+        // Power-of-two counts take the mask, the rest the division; both
+        // must pick the bank `scramble % len` names.
+        for n in [1, 2, 3, 4, 6, 7, 32, 64, 96] {
+            let arr = BankArray::new(n, Cycles(1));
+            for i in (0..4096).map(|i| i * 0x9e37) {
+                let line = LineAddr::new(i);
+                assert_eq!(
+                    arr.bank_of(line) as u64,
+                    line.scramble() % n as u64,
+                    "{n} banks"
+                );
+            }
+        }
     }
 
     #[test]

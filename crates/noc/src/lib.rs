@@ -31,11 +31,23 @@ impl std::fmt::Display for NodeId {
 }
 
 /// A `width x height` 2D mesh with XY routing.
+///
+/// The XY route of every ordered node pair is computed once, in
+/// [`Mesh::new`], so a send walks a precomputed list of link indices
+/// instead of re-deriving coordinates. The table holds `nodes^2` routes of
+/// at most `width + height - 2` links each; the simulator's meshes have at
+/// most 64 nodes.
 #[derive(Clone, Debug)]
 pub struct Mesh {
     width: usize,
     height: usize,
     hop_cycles: Cycles,
+    /// `route_start[a * nodes + b]..route_start[a * nodes + b + 1]` is
+    /// the slice of `route_links` the XY route from `a` to `b` crosses, so
+    /// its length is the pair's hop count.
+    route_start: Vec<u32>,
+    /// Link indices of every route, back to back.
+    route_links: Vec<u32>,
     /// Traffic counter per directed link. Links are indexed as
     /// `node * 4 + direction` (0=E, 1=W, 2=N, 3=S).
     link_flits: Vec<u64>,
@@ -57,10 +69,22 @@ impl Mesh {
     /// Panics if either dimension is zero.
     pub fn new(width: usize, height: usize, hop_cycles: Cycles) -> Self {
         assert!(width > 0 && height > 0, "mesh dimensions must be positive");
+        let nodes = width * height;
+        let mut route_start = Vec::with_capacity(nodes * nodes + 1);
+        let mut route_links = Vec::new();
+        route_start.push(0);
+        for a in 0..nodes {
+            for b in 0..nodes {
+                xy_route(width, a, b, &mut route_links);
+                route_start.push(u32::try_from(route_links.len()).expect("route table fits u32"));
+            }
+        }
         Mesh {
             width,
             height,
             hop_cycles,
+            route_start,
+            route_links,
             link_flits: vec![0; width * height * 4],
             messages: 0,
             total_hops: 0,
@@ -102,11 +126,24 @@ impl Mesh {
         (node.0 % self.width, node.0 / self.width)
     }
 
+    /// The `route_links` range of the XY route from `a` to `b`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either node is out of range.
+    #[inline]
+    fn route(&self, a: NodeId, b: NodeId) -> std::ops::Range<usize> {
+        let n = self.nodes();
+        for node in [a, b] {
+            assert!(node.0 < n, "node {node} out of range");
+        }
+        let pair = a.0 * n + b.0;
+        self.route_start[pair] as usize..self.route_start[pair + 1] as usize
+    }
+
     /// Manhattan hop count between two nodes.
     pub fn hops(&self, a: NodeId, b: NodeId) -> u64 {
-        let (ax, ay) = self.coords(a);
-        let (bx, by) = self.coords(b);
-        (ax.abs_diff(bx) + ay.abs_diff(by)) as u64
+        self.route(a, b).len() as u64
     }
 
     /// One-way latency between two nodes (zero when `a == b`).
@@ -142,34 +179,12 @@ impl Mesh {
     /// Sends a message from `a` to `b`, recording traffic on every XY
     /// link traversed, and returns the one-way latency.
     pub fn send(&mut self, a: NodeId, b: NodeId) -> Cycles {
-        let (ax, ay) = self.coords(a);
-        let (bx, by) = self.coords(b);
-        // X first.
-        let mut x = ax;
-        while x != bx {
-            let node = ay * self.width + x;
-            if bx > x {
-                self.link_flits[node * 4 + EAST] += 1;
-                x += 1;
-            } else {
-                self.link_flits[node * 4 + WEST] += 1;
-                x -= 1;
-            }
-        }
-        // Then Y.
-        let mut y = ay;
-        while y != by {
-            let node = y * self.width + bx;
-            if by > y {
-                self.link_flits[node * 4 + SOUTH] += 1;
-                y += 1;
-            } else {
-                self.link_flits[node * 4 + NORTH] += 1;
-                y -= 1;
-            }
+        let route = self.route(a, b);
+        let hops = route.len() as u64;
+        for &link in &self.route_links[route] {
+            self.link_flits[link as usize] += 1;
         }
         self.messages += 1;
-        let hops = self.hops(a, b);
         self.total_hops += hops;
         self.hop_cycles * hops
     }
@@ -212,6 +227,36 @@ impl Mesh {
         self.link_flits.iter_mut().for_each(|f| *f = 0);
         self.messages = 0;
         self.total_hops = 0;
+    }
+}
+
+/// Appends the links of the dimension-ordered route from node `a` to
+/// node `b` of a `width`-wide mesh: X first, then Y.
+fn xy_route(width: usize, a: usize, b: usize, links: &mut Vec<u32>) {
+    let (ax, ay) = (a % width, a / width);
+    let (bx, by) = (b % width, b / width);
+    let mut push = |node: usize, dir: usize| {
+        links.push(u32::try_from(node * 4 + dir).expect("link index fits u32"));
+    };
+    let mut x = ax;
+    while x != bx {
+        if bx > x {
+            push(ay * width + x, EAST);
+            x += 1;
+        } else {
+            push(ay * width + x, WEST);
+            x -= 1;
+        }
+    }
+    let mut y = ay;
+    while y != by {
+        if by > y {
+            push(y * width + bx, SOUTH);
+            y += 1;
+        } else {
+            push(y * width + bx, NORTH);
+            y -= 1;
+        }
     }
 }
 
@@ -309,6 +354,64 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn out_of_range_node_panics() {
         Mesh::paper_16core().coords(NodeId(16));
+    }
+
+    /// The coordinate-walking XY router the route table replaced: link
+    /// flits, hop count and latency of one message from `a` to `b`.
+    fn walked(m: &Mesh, a: NodeId, b: NodeId) -> (Vec<u64>, u64, Cycles) {
+        let mut flits = vec![0; m.nodes() * 4];
+        let (ax, ay) = m.coords(a);
+        let (bx, by) = m.coords(b);
+        let mut x = ax;
+        while x != bx {
+            let node = ay * m.width() + x;
+            if bx > x {
+                flits[node * 4 + EAST] += 1;
+                x += 1;
+            } else {
+                flits[node * 4 + WEST] += 1;
+                x -= 1;
+            }
+        }
+        let mut y = ay;
+        while y != by {
+            let node = y * m.width() + bx;
+            if by > y {
+                flits[node * 4 + SOUTH] += 1;
+                y += 1;
+            } else {
+                flits[node * 4 + NORTH] += 1;
+                y -= 1;
+            }
+        }
+        let hops = (ax.abs_diff(bx) + ay.abs_diff(by)) as u64;
+        (flits, hops, m.hop_cycles() * hops)
+    }
+
+    #[test]
+    fn route_table_matches_the_xy_walk() {
+        for (w, h) in [(1, 1), (2, 8), (3, 3), (4, 4), (8, 8)] {
+            let fresh = Mesh::new(w, h, Cycles(3));
+            for a in (0..fresh.nodes()).map(NodeId) {
+                for b in (0..fresh.nodes()).map(NodeId) {
+                    let (flits, hops, latency) = walked(&fresh, a, b);
+                    let mut m = fresh.clone();
+                    assert_eq!(m.send(a, b), latency, "{w}x{h} {a}->{b}");
+                    assert_eq!(m.link_flits(), &flits[..], "{w}x{h} {a}->{b}");
+                    assert_eq!(m.total_hops(), hops, "{w}x{h} {a}->{b}");
+                    assert_eq!(m.hops(a, b), hops);
+                    assert_eq!(m.latency(a, b), latency);
+                    assert_eq!(m.round_trip(a, b), latency * 2);
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn out_of_range_send_panics() {
+        // Node 16 would alias pair (1, 0) in the flat route table.
+        Mesh::paper_16core().send(NodeId(0), NodeId(16));
     }
 
     #[test]

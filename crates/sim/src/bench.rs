@@ -21,12 +21,11 @@ use crate::config::{SystemConfig, VaultDesign};
 use crate::error::ConfigError;
 use crate::json::Json;
 use crate::registry::SystemSpec;
-use crate::run::{RunMode, RunStats, PROFILE_PHASES};
+use crate::run::{RoundRobin, RunMode, RunStats, PROFILE_PHASES};
 use crate::workload::{SyntheticTrace, WorkloadSpec};
 use silo_coherence::ServedBy;
 use silo_obs::PhaseProfile;
 use silo_telemetry::{MeterConfig, Telemetry};
-use silo_trace::TraceSource;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -305,22 +304,13 @@ pub fn record_traces(
                 // Round-robin interleaving: the order the run loop
                 // consumes, so replay buffers at most one record per
                 // core.
-                let mut live = cores;
-                let mut done = vec![false; cores];
-                while live > 0 {
-                    for (core, done) in done.iter_mut().enumerate() {
-                        if *done {
-                            continue;
-                        }
-                        match source.next(core) {
-                            Some(mr) => writer
-                                .write(core, mr)
-                                .map_err(|e| trace_err(&path, e.to_string()))?,
-                            None => {
-                                *done = true;
-                                live -= 1;
-                            }
-                        }
+                let mut pull = RoundRobin::new(cores);
+                let mut round = Vec::with_capacity(cores);
+                while pull.fill(&mut source, &mut round, cores) > 0 {
+                    for (core, mr) in round.drain(..) {
+                        writer
+                            .write(core, mr)
+                            .map_err(|e| trace_err(&path, e.to_string()))?;
                     }
                 }
                 writer

@@ -7,10 +7,9 @@
 //! MSHR limit unless the reference is `dependent` on the previous miss
 //! (pointer chasing), which serialises.
 //!
-//! The loop is *streaming*: it pulls references one at a time from a
-//! [`TraceSource`] — a lazy synthetic generator, a `.silotrace` file
-//! reader, or an in-memory slice — so trace length is bounded by disk,
-//! not RAM.
+//! The loop is *streaming*: it pulls references from a [`TraceSource`] —
+//! a lazy synthetic generator, a `.silotrace` file reader, or an
+//! in-memory slice — so trace length is bounded by disk, not RAM.
 //!
 //! [`run_with`] is the one entry point. Its [`RunMode`] picks the plain,
 //! invariant-checked (`--check`), or self-profiled (`--profile`) build
@@ -18,6 +17,16 @@
 //! [`RunOutput`] for the same reference stream.
 //! [`crate::SystemSpec::run`] instantiates a registered system and calls
 //! it; [`run_metered_source`] is its plain-mode shorthand.
+//!
+//! The engine never reads a cycle: the timing side only consumes its
+//! [`Step`]/[`Background`] output. So a plain run may take a two-stage
+//! schedule: a helper thread runs the engine over batches of references
+//! while the calling thread pulls the trace and retires each batch's
+//! results through the MSHRs, the [`TimingModel`] and the telemetry. It
+//! does so only when the host has a spare core for it (see [`run_with`]).
+//! Both schedules retire every access through one function in one order,
+//! so their output is byte-identical. Checked and profiled runs always
+//! take the one-thread schedule.
 //!
 //! Every run drives the telemetry subsystem: a [`MeterConfig`] warmup
 //! window resets the measurement aggregates mid-run (cache, directory,
@@ -29,20 +38,27 @@
 use crate::config::SystemConfig;
 use crate::timing::{TimingModel, TimingProbe, TIMING_SUBPHASES, TP_MSHR};
 use silo_coherence::{
-    AccessResult, CoherenceStats, EngineProbe, PrivateMoesi, ServedBy, SharedMesi, ENGINE_SUBPHASES,
+    AccessResult, Background, CoherenceStats, EngineProbe, PrivateMoesi, ServedBy, SharedMesi,
+    Step, ENGINE_SUBPHASES,
 };
 use silo_obs::{Lap, PhaseProfile};
 use silo_telemetry::{EpochEnv, MeterConfig, Recorder, ServiceLevel, Telemetry, Timeline};
 use silo_trace::TraceSource;
 use silo_types::stats::{ratio, Counter, Histogram};
-use silo_types::{Cycles, MemRef};
-use std::num::NonZeroU64;
+use silo_types::{Cycles, LineAddr, MemRef};
+use std::num::{NonZeroU64, NonZeroUsize};
+use std::panic;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::{self, Receiver, SyncSender};
+use std::sync::OnceLock;
+use std::thread;
 use std::time::Instant;
 
 /// A protocol engine the simulation loop can drive. [`AnyEngine`]
 /// implements it for the built-in engines; tests implement it to inject
-/// faults.
-pub trait Protocol {
+/// faults. `Send`, because a plain run may execute the engine on a
+/// helper thread.
+pub trait Protocol: Send {
     /// Executes one reference from `core`, writing into a caller-owned
     /// result so a hot loop can reuse the step buffers across accesses.
     fn access_into(&mut self, core: usize, mr: MemRef, out: &mut AccessResult);
@@ -469,35 +485,6 @@ fn epoch_env<'a>(
     }
 }
 
-/// Ends the warmup window: zeroes the measurement aggregates and takes
-/// counter baselines for the shared resources, but leaves caches,
-/// directories, and bank reservations as they are. Executes at most
-/// once per run, so the link-flit baseline vector is cloned exactly
-/// once at the boundary (the old macro expansion duplicated the
-/// capture code at both call sites).
-fn end_warmup<P: Protocol + ?Sized>(
-    engine: &mut P,
-    timing: &TimingModel,
-    cores: &[CoreState],
-    served: &mut ServedCounts,
-    llc_accesses: &mut u64,
-    llc: &mut LatencyHists,
-) -> MeasureBase {
-    *served = ServedCounts::default();
-    *llc_accesses = 0;
-    llc.reset();
-    engine.reset_coherence_stats();
-    MeasureBase {
-        instructions: cores.iter().map(|c| c.instructions).sum(),
-        cycles: makespan(cores).as_u64(),
-        mesh_messages: timing.mesh().messages(),
-        mesh_hops: timing.mesh().total_hops(),
-        link_flits: timing.mesh().link_flits().to_vec(),
-        vault_busy: timing.vault_busy_cycles(),
-        memory_accesses: timing.memory_accesses(),
-    }
-}
-
 /// Cumulative-counter snapshot the `--check` oracle compares against:
 /// these counters are monotone by construction (never reset, not even at
 /// the warmup boundary — the measurement window subtracts a baseline
@@ -621,6 +608,13 @@ type RunCore<P> = fn(
 /// aggregates reset (simulated state is untouched), and every
 /// `meter.epoch_refs` references the timeline records an epoch sample.
 ///
+/// A [`RunMode::Plain`] run takes the two-stage schedule (engine on a
+/// helper thread) when the host has a core to spare: the process counts
+/// the simulation threads its runs use, and a plain run takes two only
+/// if both fit within `std::thread::available_parallelism()`. Otherwise,
+/// and in every other mode, the run takes one thread. The output is the
+/// same either way.
+///
 /// # Errors
 ///
 /// Only under [`RunMode::Checked`]: returns the first invariant
@@ -636,20 +630,8 @@ pub fn run_with<P: Protocol + ?Sized>(
     meter: &MeterConfig,
     mode: RunMode,
 ) -> Result<RunOutput, String> {
-    let (core, check_every): (RunCore<P>, u64) = match mode {
-        RunMode::Plain => (run_core::<P, false, false>, 0),
-        RunMode::Checked(every) => (run_core::<P, true, false>, every.get()),
-        RunMode::Profiled => (run_core::<P, false, true>, 0),
-    };
-    core(
-        engine,
-        timing,
-        cfg,
-        workload_name,
-        source,
-        meter,
-        check_every,
-    )
+    let (schedule, _threads) = Threads::claim(mode);
+    schedule.run(engine, timing, cfg, workload_name, source, meter)
 }
 
 /// [`run_with`] in [`RunMode::Plain`], which cannot fail.
@@ -674,13 +656,421 @@ pub fn run_metered_source<P: Protocol + ?Sized>(
     (out.stats, out.telemetry)
 }
 
-/// The loop behind [`run_with`]. `CHECKED` and `PROFILED` are const
-/// generics so the oracle branch and the profiler's clock reads vanish
-/// from the monomorphizations that don't use them instead of costing a
-/// per-reference test. Only three monomorphizations exist per engine
-/// type, one per [`RunMode`] (the builder rejects combining `--check`
-/// with `--profile` — the oracle sweep would dominate the phase
-/// timings).
+/// How a run is laid out on host threads. [`run_with`] picks one per run
+/// by the spare-core rule ([`Threads::claim`]); tests force one.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Schedule {
+    /// One thread runs the loop of the given mode, engine then timing for
+    /// each reference.
+    Sequential(RunMode),
+    /// A plain run in two stages: a helper thread runs the engine over
+    /// batches of references while the calling thread pulls the trace
+    /// and retires the engine's results ([`run_pipelined`]).
+    Pipelined,
+}
+
+impl Schedule {
+    /// Runs the loop under this schedule; the arguments are
+    /// [`run_with`]'s.
+    pub(crate) fn run<P: Protocol + ?Sized>(
+        self,
+        engine: &mut P,
+        timing: &mut TimingModel,
+        cfg: &SystemConfig,
+        workload_name: &str,
+        source: &mut dyn TraceSource,
+        meter: &MeterConfig,
+    ) -> Result<RunOutput, String> {
+        let (core, check_every): (RunCore<P>, u64) = match self {
+            Schedule::Pipelined => {
+                let out = run_pipelined(engine, timing, cfg, workload_name, source, meter);
+                return Ok(out);
+            }
+            Schedule::Sequential(RunMode::Plain) => (run_core::<P, false, false>, 0),
+            Schedule::Sequential(RunMode::Checked(every)) => {
+                (run_core::<P, true, false>, every.get())
+            }
+            Schedule::Sequential(RunMode::Profiled) => (run_core::<P, false, true>, 0),
+        };
+        core(
+            engine,
+            timing,
+            cfg,
+            workload_name,
+            source,
+            meter,
+            check_every,
+        )
+    }
+}
+
+/// Simulation threads in use by every run in this process. A plain
+/// count that publishes no other data, so `Relaxed` suffices.
+static SIM_THREADS: AtomicUsize = AtomicUsize::new(0);
+
+/// The host threads this process may run on, read once.
+fn host_threads() -> usize {
+    static HOST: OnceLock<usize> = OnceLock::new();
+    *HOST.get_or_init(|| thread::available_parallelism().map_or(1, NonZeroUsize::get))
+}
+
+/// One run's share of [`SIM_THREADS`], given back when the run ends,
+/// by unwinding too.
+struct Threads(usize);
+
+impl Threads {
+    /// The spare-core rule: a plain run takes the two-stage schedule
+    /// only if its two threads fit within the host's parallelism next to
+    /// every other run in the process. Any other run, and a plain run on
+    /// a busy host, takes one thread. So a sweep or a daemon that keeps
+    /// every core busy stays sequential, while a lone run uses the idle
+    /// core.
+    fn claim(mode: RunMode) -> (Schedule, Threads) {
+        let fits = |n: usize| (n + 2 <= host_threads()).then_some(n + 2);
+        if mode == RunMode::Plain
+            && SIM_THREADS
+                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, fits)
+                .is_ok()
+        {
+            return (Schedule::Pipelined, Threads(2));
+        }
+        SIM_THREADS.fetch_add(1, Ordering::Relaxed);
+        (Schedule::Sequential(mode), Threads(1))
+    }
+}
+
+impl Drop for Threads {
+    fn drop(&mut self) {
+        SIM_THREADS.fetch_sub(self.0, Ordering::Relaxed);
+    }
+}
+
+/// Pulls references from a source in the loop's order: one per live core
+/// per round, cores in index order, until every stream is dry. The order
+/// of `source.next` calls does not depend on how the pulls are chunked.
+pub(crate) struct RoundRobin {
+    exhausted: Vec<bool>,
+    live: usize,
+    next: usize,
+}
+
+impl RoundRobin {
+    pub(crate) fn new(cores: usize) -> Self {
+        RoundRobin {
+            exhausted: vec![false; cores],
+            live: cores,
+            next: 0,
+        }
+    }
+
+    /// Appends up to `n` references to `out`; returns how many it
+    /// appended, zero once every stream is dry.
+    pub(crate) fn fill(
+        &mut self,
+        source: &mut dyn TraceSource,
+        out: &mut Vec<(usize, MemRef)>,
+        n: usize,
+    ) -> usize {
+        let start = out.len();
+        while out.len() - start < n && self.live > 0 {
+            let c = self.next;
+            self.next = if c + 1 == self.exhausted.len() {
+                0
+            } else {
+                c + 1
+            };
+            if self.exhausted[c] {
+                continue;
+            }
+            match source.next(c) {
+                Some(mr) => out.push((c, mr)),
+                None => {
+                    self.exhausted[c] = true;
+                    self.live -= 1;
+                }
+            }
+        }
+        out.len() - start
+    }
+}
+
+/// What the timing side needs of one executed access, besides its steps
+/// and background work.
+#[derive(Clone, Copy, Debug)]
+struct Executed {
+    line: LineAddr,
+    served: ServedBy,
+    llc_access: bool,
+    /// Number of critical-path steps.
+    steps: u16,
+    /// Number of background items.
+    background: u16,
+}
+
+impl Executed {
+    #[inline]
+    fn of(res: &AccessResult) -> Self {
+        Executed {
+            line: res.line,
+            served: res.served_by(),
+            llc_access: res.llc_access,
+            steps: u16::try_from(res.steps.len()).expect("steps per access fit u16"),
+            background: u16::try_from(res.background.len())
+                .expect("background per access fits u16"),
+        }
+    }
+}
+
+/// The timing side of the loop: everything downstream of the engine.
+/// Both schedules feed it the same accesses in the same order through
+/// [`Retirer::retire`], so the MSHR, pricing, telemetry and warmup rules
+/// exist once.
+struct Retirer<'m> {
+    meter: &'m MeterConfig,
+    cores: Vec<CoreState>,
+    served: ServedCounts,
+    llc_accesses: u64,
+    llc: LatencyHists,
+    timeline: Timeline,
+    /// Hoisted once: a disabled timeline skips the per-reference
+    /// recording calls entirely, so the un-metered path touches no epoch
+    /// state inside the loop.
+    sampling: bool,
+    base: MeasureBase,
+    processed: u64,
+    warmup_pending: bool,
+    /// The hot-loop profile; filled only by profiled runs.
+    profile: PhaseProfile,
+    /// The timing phase's lap probe (mesh/bank/MSHR); used only by
+    /// profiled runs.
+    tprobe: TimingProbe,
+}
+
+impl<'m> Retirer<'m> {
+    fn new(
+        cfg: &SystemConfig,
+        meter: &'m MeterConfig,
+        len_hint: Option<u64>,
+        profile: PhaseProfile,
+    ) -> Self {
+        let mut timeline = Timeline::new(meter.epoch_refs.unwrap_or(0));
+        if let Some(refs) = len_hint {
+            timeline.reserve_for(refs);
+        }
+        Retirer {
+            meter,
+            cores: (0..cfg.cores).map(|_| CoreState::new(cfg.mlp)).collect(),
+            served: ServedCounts::default(),
+            llc_accesses: 0,
+            llc: LatencyHists::new(),
+            sampling: timeline.enabled(),
+            timeline,
+            base: MeasureBase::default(),
+            processed: 0,
+            warmup_pending: meter.warmup_refs > 0,
+            profile,
+            tprobe: TimingProbe::new(),
+        }
+    }
+
+    /// Retires one executed access of core `c`: advances the core,
+    /// prices an LLC access through its MSHRs and `timing`, and records
+    /// the telemetry. Returns true when this access ends the warmup
+    /// window; the engine's coherence counters reset at that point too.
+    #[inline(always)]
+    fn retire<const PROFILED: bool>(
+        &mut self,
+        timing: &mut TimingModel,
+        c: usize,
+        mr: MemRef,
+        x: Executed,
+        steps: &[Step],
+        background: &[Background],
+    ) -> bool {
+        // The reference instruction itself retires too: charge `gap + 1`
+        // cycles to match the `gap + 1` instructions, or a hit-only trace
+        // would report IPC above the base-CPI-1 ceiling.
+        let instructions = mr.gap_instructions as u64 + 1;
+        let mut latency = None;
+        let core = &mut self.cores[c];
+        core.instructions += instructions;
+        core.cursor += Cycles(instructions);
+        self.served.record(x.served);
+        if PROFILED {
+            self.tprobe.begin();
+        }
+        if !x.llc_access {
+            // SRAM hit: absorbed by the pipeline at base CPI.
+            core.finish = core.finish.max(core.cursor);
+            if PROFILED {
+                self.tprobe.lap(TP_MSHR);
+            }
+        } else {
+            self.llc_accesses += 1;
+
+            // Issue time: dependent misses wait for the previous miss;
+            // independent ones only wait for a free MSHR.
+            let issue = if mr.dependent {
+                core.cursor.max(core.last_miss)
+            } else {
+                core.cursor
+            };
+            core.mshrs.drop_completed(issue);
+            let issue = core.mshrs.acquire(issue);
+            if PROFILED {
+                self.tprobe.lap(TP_MSHR);
+            }
+
+            let done = if PROFILED {
+                timing.charge_probed(issue, x.line, steps, background, &mut self.tprobe)
+            } else {
+                timing.charge(issue, x.line, steps, background)
+            };
+            let lat = (done - issue).as_u64();
+            self.llc.record(lat);
+            latency = Some(lat);
+            core.mshrs.push(done);
+            core.last_miss = done;
+            core.finish = core.finish.max(done);
+            if mr.dependent {
+                // The pipeline stalls behind a serialised miss.
+                core.cursor = core.cursor.max(done);
+            }
+            if PROFILED {
+                self.tprobe.lap(TP_MSHR);
+            }
+        }
+
+        self.processed += 1;
+        if self.sampling {
+            let t = PROFILED.then(Instant::now);
+            self.timeline
+                .record_ref(service_level(x.served), instructions, latency);
+            if self.timeline.epoch_full() {
+                self.timeline
+                    .flush(&epoch_env(&self.cores, timing, self.meter));
+            }
+            if let Some(t) = t {
+                self.profile.add(PH_TELEMETRY, elapsed_ns(t));
+            }
+        }
+        if self.warmup_pending && self.processed >= self.meter.warmup_refs {
+            self.end_warmup(timing);
+            return true;
+        }
+        false
+    }
+
+    /// Ends the warmup window: zeroes the measurement aggregates and
+    /// takes counter baselines for the shared resources, but leaves
+    /// caches, directories, and bank reservations as they are. Runs at
+    /// most once per run.
+    fn end_warmup(&mut self, timing: &TimingModel) {
+        self.warmup_pending = false;
+        self.served = ServedCounts::default();
+        self.llc_accesses = 0;
+        self.llc.reset();
+        self.base = MeasureBase {
+            instructions: self.cores.iter().map(|c| c.instructions).sum(),
+            cycles: makespan(&self.cores).as_u64(),
+            mesh_messages: timing.mesh().messages(),
+            mesh_hops: timing.mesh().total_hops(),
+            link_flits: timing.mesh().link_flits().to_vec(),
+            vault_busy: timing.vault_busy_cycles(),
+            memory_accesses: timing.memory_accesses(),
+        };
+    }
+
+    /// Closes the run once every access has retired and `engine` is back
+    /// on the calling thread, and assembles its output. `profiled` keeps
+    /// the hot-loop profile, with the timing probe folded in.
+    fn finish<P: Protocol + ?Sized>(
+        mut self,
+        engine: &mut P,
+        timing: &TimingModel,
+        workload_name: &str,
+        profiled: bool,
+    ) -> RunOutput {
+        if self.warmup_pending {
+            // The warmup window swallowed the whole trace: still perform
+            // the reset so the measurement window is consistently empty
+            // instead of silently reporting cold-start full-run numbers.
+            self.end_warmup(timing);
+            engine.reset_coherence_stats();
+        }
+        self.timeline
+            .finish(&epoch_env(&self.cores, timing, self.meter));
+        if profiled {
+            let p = &self.tprobe;
+            for (i, (&ns, &n)) in p.nanos().iter().zip(p.samples()).enumerate() {
+                self.profile.add_bulk(PH_TIMING_CHILD0 + i, ns, n);
+            }
+            self.profile.add_bulk(PH_TIMING, p.total_nanos(), p.calls());
+        }
+
+        let base = &self.base;
+        let mesh = timing.mesh();
+        let mesh_messages = mesh.messages() - base.mesh_messages;
+        let mesh_total_hops = mesh.total_hops() - base.mesh_hops;
+        let mesh_max_link_flits = mesh
+            .link_flits()
+            .iter()
+            .enumerate()
+            .map(|(l, &f)| f - base.link_flits.get(l).copied().unwrap_or(0))
+            .max()
+            .unwrap_or(0);
+        let stats = RunStats {
+            system: engine.system_name().to_string(),
+            workload: workload_name.to_string(),
+            instructions: self.cores.iter().map(|c| c.instructions).sum::<u64>()
+                - base.instructions,
+            cycles: Cycles(makespan(&self.cores).as_u64() - base.cycles),
+            served: self.served,
+            llc_accesses: self.llc_accesses,
+            llc_latency: self.llc.linear,
+            mesh_messages,
+            mesh_total_hops,
+            mesh_max_link_flits,
+        };
+
+        let cs = engine.coherence_stats();
+        let mut recorder = Recorder::new();
+        recorder.set("invalidations", cs.invalidations.get());
+        recorder.set("o_state_forwards", cs.o_state_forwards.get());
+        recorder.set("directory_evictions", cs.directory_evictions.get());
+        recorder.set("upgrades", cs.upgrades.get());
+        recorder.set("dirty_writebacks", cs.dirty_writebacks.get());
+        recorder.set("mesh_messages", mesh_messages);
+        recorder.set("mesh_total_hops", mesh_total_hops);
+        recorder.set("mesh_max_link_flits", mesh_max_link_flits);
+        recorder.set(
+            "memory_accesses",
+            timing.memory_accesses() - base.memory_accesses,
+        );
+        recorder.set(
+            "vault_busy_cycles",
+            timing.vault_busy_cycles() - base.vault_busy,
+        );
+        *recorder.histogram("llc_latency") = self.llc.log;
+        RunOutput {
+            stats,
+            telemetry: Telemetry {
+                meter: *self.meter,
+                recorder,
+                timeline: self.timeline,
+            },
+            profile: profiled.then_some(self.profile),
+        }
+    }
+}
+
+/// The one-thread loop behind [`Schedule::Sequential`]. `CHECKED` and
+/// `PROFILED` are const generics so the oracle branch and the profiler's
+/// clock reads vanish from the monomorphizations that don't use them
+/// instead of costing a per-reference test. Only three monomorphizations
+/// exist per engine type, one per [`RunMode`] (the builder rejects
+/// combining `--check` with `--profile` — the oracle sweep would dominate
+/// the phase timings).
 fn run_core<P: Protocol + ?Sized, const CHECKED: bool, const PROFILED: bool>(
     engine: &mut P,
     timing: &mut TimingModel,
@@ -692,241 +1082,228 @@ fn run_core<P: Protocol + ?Sized, const CHECKED: bool, const PROFILED: bool>(
 ) -> Result<RunOutput, String> {
     // Untouched unless PROFILED: the clock reads that fill it are
     // compiled out of the other monomorphizations.
-    let mut profile = if PROFILED {
+    let profile = if PROFILED {
         PhaseProfile::with_tree(&profile_phase_tree())
     } else {
         PhaseProfile::new(&PROFILE_PHASES)
     };
-    let mut cores: Vec<CoreState> = (0..cfg.cores).map(|_| CoreState::new(cfg.mlp)).collect();
-    let mut served = ServedCounts::default();
-    let mut llc_accesses = 0u64;
-    let mut llc = LatencyHists::new();
-    let mut timeline = Timeline::new(meter.epoch_refs.unwrap_or(0));
-    if let Some(refs) = source.len_hint() {
-        timeline.reserve_for(refs);
-    }
-    let mut base = MeasureBase::default();
-    let mut processed = 0u64;
-    let mut warmup_pending = meter.warmup_refs > 0;
+    let mut r = Retirer::new(cfg, meter, source.len_hint(), profile);
     let mut oracle = OracleBase::capture(timing);
-    // Hoisted once: a disabled timeline skips the per-reference
-    // recording calls entirely, so the un-metered path touches no epoch
-    // state inside the loop.
-    let sampling = timeline.enabled();
     // One result buffer for the whole run: the engines write into it via
     // `access_into`, reusing the step vectors instead of allocating two
     // per reference.
     let mut res = AccessResult::default();
-    // Lap probes for the profiled path: the engine laps its internal
-    // segments, the timing phase laps mesh/bank/MSHR work. Folded into
-    // `profile` once after the loop; untouched (and compiled out of the
-    // hot path) when PROFILED is false.
+    // The engine's lap probe for the profiled path, folded into the
+    // profile once after the loop; untouched (and compiled out of the hot
+    // path) when PROFILED is false.
     let mut eprobe = EngineProbe::new();
-    let mut tprobe = TimingProbe::new();
 
-    let mut exhausted = vec![false; cfg.cores];
-    let mut live = cfg.cores;
-    // Two-phase rounds: pull one reference per live core first (issuing
-    // the engine's host-cache prefetch hint for each), then execute the
-    // round in the same core order. Per-core streams are independent, so
-    // batching the pulls changes neither any stream nor the execution
+    // Two-phase rounds: pull one round's worth of references first
+    // (issuing the engine's host-cache prefetch hint for each), then
+    // execute them in the same order. Per-core streams are independent,
+    // so batching the pulls changes neither any stream nor the execution
     // order — only how far ahead of its access each prefetch lands.
+    let mut pull = RoundRobin::new(cfg.cores);
     let mut round: Vec<(usize, MemRef)> = Vec::with_capacity(cfg.cores);
-    while live > 0 {
+    loop {
         round.clear();
         let t = PROFILED.then(Instant::now);
-        for (c, done) in exhausted.iter_mut().enumerate() {
-            if *done {
-                continue;
-            }
-            match source.next(c) {
-                Some(mr) => {
-                    engine.prefetch(c, mr);
-                    round.push((c, mr));
-                }
-                None => {
-                    *done = true;
-                    live -= 1;
-                }
-            }
-        }
-        if let Some(t) = t {
-            profile.add(PH_TRACE, elapsed_ns(t));
+        if pull.fill(source, &mut round, cfg.cores) == 0 {
+            break;
         }
         for &(c, mr) in &round {
-            // The reference instruction itself retires too: charge
-            // `gap + 1` cycles to match the `gap + 1` instructions, or a
-            // hit-only trace would report IPC above the base-CPI-1 ceiling.
-            let instructions = mr.gap_instructions as u64 + 1;
-            let mut latency = None;
-            let served_by;
-            {
-                let core = &mut cores[c];
-                core.instructions += instructions;
-                core.cursor += Cycles(instructions);
-
-                if PROFILED {
-                    engine.access_into_probed(c, mr, &mut res, &mut eprobe);
-                } else {
-                    engine.access_into(c, mr, &mut res);
-                }
-                served_by = res.served_by();
-                served.record(served_by);
-                if PROFILED {
-                    tprobe.begin();
-                }
-                if !res.llc_access {
-                    // SRAM hit: absorbed by the pipeline at base CPI.
-                    core.finish = core.finish.max(core.cursor);
-                    if PROFILED {
-                        tprobe.lap(TP_MSHR);
-                    }
-                } else {
-                    llc_accesses += 1;
-
-                    // Issue time: dependent misses wait for the previous
-                    // miss; independent ones only wait for a free MSHR.
-                    let issue = if mr.dependent {
-                        core.cursor.max(core.last_miss)
-                    } else {
-                        core.cursor
-                    };
-                    core.mshrs.drop_completed(issue);
-                    let issue = core.mshrs.acquire(issue);
-                    if PROFILED {
-                        tprobe.lap(TP_MSHR);
-                    }
-
-                    let done = if PROFILED {
-                        timing.charge_probed(issue, &res, &mut tprobe)
-                    } else {
-                        timing.charge(issue, &res)
-                    };
-                    let lat = (done - issue).as_u64();
-                    llc.record(lat);
-                    latency = Some(lat);
-                    core.mshrs.push(done);
-                    core.last_miss = done;
-                    core.finish = core.finish.max(done);
-                    if mr.dependent {
-                        // The pipeline stalls behind a serialised miss.
-                        core.cursor = core.cursor.max(done);
-                    }
-                    if PROFILED {
-                        tprobe.lap(TP_MSHR);
-                    }
-                }
+            engine.prefetch(c, mr);
+        }
+        if let Some(t) = t {
+            r.profile.add(PH_TRACE, elapsed_ns(t));
+        }
+        for &(c, mr) in &round {
+            if PROFILED {
+                engine.access_into_probed(c, mr, &mut res, &mut eprobe);
+            } else {
+                engine.access_into(c, mr, &mut res);
             }
-
-            processed += 1;
-            if CHECKED && processed % check_every == 0 {
-                oracle_sweep(&*engine, timing, &cores, cfg.mlp, processed, &mut oracle)?;
+            let x = Executed::of(&res);
+            if r.retire::<PROFILED>(timing, c, mr, x, &res.steps, &res.background) {
+                engine.reset_coherence_stats();
             }
-            if sampling {
-                let t = PROFILED.then(Instant::now);
-                timeline.record_ref(service_level(served_by), instructions, latency);
-                if timeline.epoch_full() {
-                    timeline.flush(&epoch_env(&cores, timing, meter));
-                }
-                if let Some(t) = t {
-                    profile.add(PH_TELEMETRY, elapsed_ns(t));
-                }
-            }
-            if warmup_pending && processed >= meter.warmup_refs {
-                warmup_pending = false;
-                base = end_warmup(
-                    &mut *engine,
+            if CHECKED && r.processed % check_every == 0 {
+                oracle_sweep(
+                    &*engine,
                     timing,
-                    &cores,
-                    &mut served,
-                    &mut llc_accesses,
-                    &mut llc,
-                );
+                    &r.cores,
+                    cfg.mlp,
+                    r.processed,
+                    &mut oracle,
+                )?;
             }
         }
     }
-    if warmup_pending {
-        // The warmup window swallowed the whole trace: still perform the
-        // reset so the measurement window is consistently empty instead
-        // of silently reporting cold-start full-run numbers.
-        base = end_warmup(
-            &mut *engine,
-            timing,
-            &cores,
-            &mut served,
-            &mut llc_accesses,
-            &mut llc,
-        );
-    }
-    timeline.finish(&epoch_env(&cores, timing, meter));
 
     if PROFILED {
-        // Fold the lap-probe buckets into the hierarchical profile: each
-        // child gets its accumulated bucket, each parent the probe's
-        // total — so children sum to the parent exactly, and the parent
-        // sample count is the number of probed calls (one per access).
+        // Fold the engine's lap-probe buckets into the hierarchical
+        // profile: each child gets its accumulated bucket, the parent the
+        // probe's total — so children sum to the parent exactly, and the
+        // parent sample count is the number of probed calls (one per
+        // access). `finish` does the same for the timing probe.
         for (i, (&ns, &n)) in eprobe.nanos().iter().zip(eprobe.samples()).enumerate() {
-            profile.add_bulk(PH_ENGINE_CHILD0 + i, ns, n);
+            r.profile.add_bulk(PH_ENGINE_CHILD0 + i, ns, n);
         }
-        profile.add_bulk(PH_ENGINE, eprobe.total_nanos(), eprobe.calls());
-        for (i, (&ns, &n)) in tprobe.nanos().iter().zip(tprobe.samples()).enumerate() {
-            profile.add_bulk(PH_TIMING_CHILD0 + i, ns, n);
-        }
-        profile.add_bulk(PH_TIMING, tprobe.total_nanos(), tprobe.calls());
+        r.profile
+            .add_bulk(PH_ENGINE, eprobe.total_nanos(), eprobe.calls());
     }
+    Ok(r.finish(engine, timing, workload_name, PROFILED))
+}
 
-    let mesh = timing.mesh();
-    let mesh_messages = mesh.messages() - base.mesh_messages;
-    let mesh_total_hops = mesh.total_hops() - base.mesh_hops;
-    let mesh_max_link_flits = mesh
-        .link_flits()
-        .iter()
-        .enumerate()
-        .map(|(l, &f)| f - base.link_flits.get(l).copied().unwrap_or(0))
-        .max()
-        .unwrap_or(0);
-    let stats = RunStats {
-        system: engine.system_name().to_string(),
-        workload: workload_name.to_string(),
-        instructions: cores.iter().map(|c| c.instructions).sum::<u64>() - base.instructions,
-        cycles: Cycles(makespan(&cores).as_u64() - base.cycles),
-        served,
-        llc_accesses,
-        llc_latency: llc.linear,
-        mesh_messages,
-        mesh_total_hops,
-        mesh_max_link_flits,
-    };
+/// References per batch of the two-stage schedule.
+const BATCH: usize = 2048;
+/// Batches circulating between the two stages: one being executed, one
+/// being retired and refilled, and one queued so neither stage waits on
+/// the other's jitter.
+const BATCHES: usize = 3;
 
-    let cs = engine.coherence_stats();
-    let mut recorder = Recorder::new();
-    recorder.set("invalidations", cs.invalidations.get());
-    recorder.set("o_state_forwards", cs.o_state_forwards.get());
-    recorder.set("directory_evictions", cs.directory_evictions.get());
-    recorder.set("upgrades", cs.upgrades.get());
-    recorder.set("dirty_writebacks", cs.dirty_writebacks.get());
-    recorder.set("mesh_messages", mesh_messages);
-    recorder.set("mesh_total_hops", mesh_total_hops);
-    recorder.set("mesh_max_link_flits", mesh_max_link_flits);
-    recorder.set(
-        "memory_accesses",
-        timing.memory_accesses() - base.memory_accesses,
+/// One batch of the two-stage schedule. The calling thread fills `refs`;
+/// the engine thread appends one [`Executed`] per reference and each
+/// access's steps and background work back to back; the calling thread
+/// retires it and refills the same buffers, so a run allocates only its
+/// first [`BATCHES`] batches.
+#[derive(Default)]
+struct Batch {
+    refs: Vec<(usize, MemRef)>,
+    executed: Vec<Executed>,
+    steps: Vec<Step>,
+    background: Vec<Background>,
+}
+
+impl Batch {
+    fn clear(&mut self) {
+        self.refs.clear();
+        self.executed.clear();
+        self.steps.clear();
+        self.background.clear();
+    }
+}
+
+/// The engine stage of the two-stage schedule, on the helper thread:
+/// executes each batch from `todo` in order and hands it back on `done`.
+/// `ahead` is the host-cache prefetch distance (one round of the
+/// sequential loop). The coherence counters reset right after reference
+/// `warmup_refs`, exactly where the sequential loop resets them; a
+/// warmup that swallows the whole trace is closed by the caller. Returns
+/// when the caller hangs up either channel.
+fn engine_stage<P: Protocol + ?Sized>(
+    engine: &mut P,
+    ahead: usize,
+    warmup_refs: u64,
+    todo: Receiver<Batch>,
+    done: SyncSender<Batch>,
+) {
+    let mut res = AccessResult::default();
+    let mut processed = 0u64;
+    let mut warmup_pending = warmup_refs > 0;
+    for mut batch in todo {
+        for &(c, mr) in batch.refs.iter().take(ahead) {
+            engine.prefetch(c, mr);
+        }
+        for (i, &(c, mr)) in batch.refs.iter().enumerate() {
+            if let Some(&(c, mr)) = batch.refs.get(i + ahead) {
+                engine.prefetch(c, mr);
+            }
+            engine.access_into(c, mr, &mut res);
+            batch.executed.push(Executed::of(&res));
+            batch.steps.extend_from_slice(&res.steps);
+            batch.background.extend_from_slice(&res.background);
+            processed += 1;
+            if warmup_pending && processed >= warmup_refs {
+                warmup_pending = false;
+                engine.reset_coherence_stats();
+            }
+        }
+        if done.send(batch).is_err() {
+            return;
+        }
+    }
+}
+
+/// The loop behind [`Schedule::Pipelined`]: the engine runs in
+/// [`engine_stage`] on a scoped helper thread while this thread pulls
+/// references in [`RoundRobin`] order into batches, sends them ahead, and
+/// retires the executed batches in order through [`Retirer::retire`].
+/// The source stays on this thread. A panic on either side resurfaces
+/// here with its own payload: this thread's unwinding hangs up both
+/// channels, which ends the helper, and a helper's panic is rethrown
+/// when its channel closes.
+fn run_pipelined<P: Protocol + ?Sized>(
+    engine: &mut P,
+    timing: &mut TimingModel,
+    cfg: &SystemConfig,
+    workload_name: &str,
+    source: &mut dyn TraceSource,
+    meter: &MeterConfig,
+) -> RunOutput {
+    let mut r = Retirer::new(
+        cfg,
+        meter,
+        source.len_hint(),
+        PhaseProfile::new(&PROFILE_PHASES),
     );
-    recorder.set(
-        "vault_busy_cycles",
-        timing.vault_busy_cycles() - base.vault_busy,
-    );
-    *recorder.histogram("llc_latency") = llc.log;
-    let telemetry = Telemetry {
-        meter: *meter,
-        recorder,
-        timeline,
-    };
-    Ok(RunOutput {
-        stats,
-        telemetry,
-        profile: PROFILED.then_some(profile),
-    })
+    let (ahead, warmup_refs) = (cfg.cores, meter.warmup_refs);
+    let stage = &mut *engine;
+    thread::scope(|s| {
+        let (todo, todo_rx) = mpsc::sync_channel::<Batch>(BATCHES);
+        let (done_tx, done) = mpsc::sync_channel::<Batch>(BATCHES);
+        let helper = s.spawn(move || engine_stage(stage, ahead, warmup_refs, todo_rx, done_tx));
+        let rethrow = |helper: thread::ScopedJoinHandle<'_, ()>| -> ! {
+            match helper.join() {
+                Err(payload) => panic::resume_unwind(payload),
+                Ok(()) => unreachable!("the engine stage hung up mid-run"),
+            }
+        };
+        let mut pull = RoundRobin::new(cfg.cores);
+        let mut spare: Vec<Batch> = (0..BATCHES).map(|_| Batch::default()).collect();
+        let mut in_flight = 0;
+        loop {
+            while let Some(mut batch) = spare.pop() {
+                if pull.fill(source, &mut batch.refs, BATCH) == 0 {
+                    spare.push(batch);
+                    break;
+                }
+                if todo.send(batch).is_err() {
+                    rethrow(helper);
+                }
+                in_flight += 1;
+            }
+            if in_flight == 0 {
+                break;
+            }
+            let Ok(mut batch) = done.recv() else {
+                rethrow(helper);
+            };
+            in_flight -= 1;
+            let (mut s, mut g) = (0, 0);
+            for (&(c, mr), &x) in batch.refs.iter().zip(&batch.executed) {
+                let (s_end, g_end) = (s + usize::from(x.steps), g + usize::from(x.background));
+                // The engine stage resets its own counters at the warmup
+                // boundary.
+                r.retire::<false>(
+                    timing,
+                    c,
+                    mr,
+                    x,
+                    &batch.steps[s..s_end],
+                    &batch.background[g..g_end],
+                );
+                (s, g) = (s_end, g_end);
+            }
+            batch.clear();
+            spare.push(batch);
+        }
+        drop(todo);
+        if let Err(payload) = helper.join() {
+            panic::resume_unwind(payload);
+        }
+    });
+    r.finish(engine, timing, workload_name, false)
 }
 
 #[cfg(test)]
@@ -1148,17 +1525,24 @@ mod tests {
     }
 
     /// A built-in engine whose invariant check starts failing once it
-    /// has executed `fail_after` references: a stand-in for a simulator
-    /// bug that corrupts protocol state mid-run.
+    /// has executed `fail_after` references, a stand-in for a simulator
+    /// bug that corrupts protocol state mid-run, and that panics on
+    /// access `panic_at`.
     struct Faulty {
         inner: AnyEngine,
         accesses: u64,
         fail_after: u64,
+        panic_at: u64,
     }
 
     impl Protocol for Faulty {
         fn access_into(&mut self, core: usize, mr: MemRef, out: &mut AccessResult) {
             self.accesses += 1;
+            assert!(
+                self.accesses != self.panic_at,
+                "injected engine panic at access {}",
+                self.accesses
+            );
             self.inner.access_into(core, mr, out);
         }
         fn access_into_probed(
@@ -1206,6 +1590,7 @@ mod tests {
                 inner: inst.engine,
                 accesses: 0,
                 fail_after,
+                panic_at: u64::MAX,
             };
             let mut timing = inst.timing;
             let mut source = spec.source(cfg.cores, cfg.scale, 1).expect("source");
@@ -1243,5 +1628,242 @@ mod tests {
         let checked = run_named("SILO", &cfg, &spec, 1, RunMode::Checked(every))
             .expect("builtin engines hold their invariants");
         assert_eq!(checked.stats, plain.stats);
+    }
+
+    /// Runs the registry system `name` over `source` under `schedule`.
+    fn run_scheduled(
+        name: &str,
+        cfg: &SystemConfig,
+        meter: &MeterConfig,
+        source: &mut dyn TraceSource,
+        schedule: Schedule,
+    ) -> RunOutput {
+        let mut inst = SystemRegistry::builtin()
+            .get(name)
+            .expect("builtin")
+            .instantiate(cfg);
+        schedule
+            .run(&mut inst.engine, &mut inst.timing, cfg, "w", source, meter)
+            .expect("plain runs cannot fail")
+    }
+
+    /// Asserts that both schedules produce the same statistics and
+    /// telemetry for `name` over the stream `source` builds afresh.
+    fn assert_schedules_agree<'t>(
+        name: &str,
+        cfg: &SystemConfig,
+        meter: &MeterConfig,
+        source: impl Fn() -> Box<dyn TraceSource + 't>,
+        what: &str,
+    ) {
+        let seq = run_scheduled(
+            name,
+            cfg,
+            meter,
+            &mut *source(),
+            Schedule::Sequential(RunMode::Plain),
+        );
+        let pipe = run_scheduled(name, cfg, meter, &mut *source(), Schedule::Pipelined);
+        assert_eq!(seq.stats, pipe.stats, "{name} on {what}: stats differ");
+        assert_eq!(
+            seq.telemetry, pipe.telemetry,
+            "{name} on {what}: telemetry differs"
+        );
+        assert!(seq.profile.is_none() && pipe.profile.is_none());
+    }
+
+    #[test]
+    fn schedules_agree_on_every_builtin_system_and_workload() {
+        let cfg = quick_cfg();
+        let meter = MeterConfig::default();
+        for sys in SystemRegistry::builtin().specs() {
+            for spec in [
+                WorkloadSpec::uniform_private(),
+                WorkloadSpec::zipf_shared(),
+                WorkloadSpec::producer_consumer(),
+                WorkloadSpec::pointer_chase(),
+            ] {
+                let spec = WorkloadSpec {
+                    refs_per_core: 2_000,
+                    ..spec
+                };
+                let source = || spec.source(cfg.cores, cfg.scale, 11).expect("source");
+                assert_schedules_agree(sys.name(), &cfg, &meter, source, &spec.name);
+            }
+        }
+    }
+
+    #[test]
+    fn schedules_agree_across_batch_and_warmup_edges() {
+        let spec = WorkloadSpec {
+            refs_per_core: 2_000,
+            ..WorkloadSpec::zipf_shared()
+        };
+        let cfg = quick_cfg();
+        let generated = |cfg: &SystemConfig, spec: &WorkloadSpec| {
+            let (cores, scale, spec) = (cfg.cores, cfg.scale, spec.clone());
+            move || spec.source(cores, scale, 4).expect("source")
+        };
+        let metered = |warmup_refs, epoch_refs| MeterConfig {
+            warmup_refs,
+            epoch_refs,
+        };
+        for name in ["SILO", "baseline"] {
+            // Warmup ends mid-batch (2048 < 3001 < 4096) and epochs
+            // straddle batch boundaries.
+            let meter = metered(3_001, Some(1_000));
+            assert_schedules_agree(
+                name,
+                &cfg,
+                &meter,
+                generated(&cfg, &spec),
+                "mid-batch warmup",
+            );
+            // One core: every round is one reference.
+            let one = SystemConfig::paper_16core().with_cores(1);
+            let long = WorkloadSpec {
+                refs_per_core: 5_000,
+                ..spec.clone()
+            };
+            assert_schedules_agree(name, &one, &meter, generated(&one, &long), "one core");
+            // A trace shorter than one batch.
+            let short = WorkloadSpec {
+                refs_per_core: 100,
+                ..spec.clone()
+            };
+            let meter = metered(50, Some(64));
+            assert_schedules_agree(name, &cfg, &meter, generated(&cfg, &short), "short trace");
+            // Warmup that swallows the trace, exactly and with room.
+            for warmup in [8_000, 10_000] {
+                let meter = metered(warmup, Some(1_000));
+                assert_schedules_agree(
+                    name,
+                    &cfg,
+                    &meter,
+                    generated(&cfg, &spec),
+                    "warmup >= trace",
+                );
+            }
+        }
+
+        // Uneven streams: cores run dry in different rounds and batches.
+        let mut gen = spec.source(cfg.cores, cfg.scale, 8).expect("source");
+        let traces: Vec<Vec<MemRef>> = (0..cfg.cores)
+            .map(|c| (0..(c + 1) * 700).map_while(|_| gen.next(c)).collect())
+            .collect();
+        let meter = metered(2_500, Some(300));
+        let slices = || Box::new(SliceTrace::new(&traces)) as Box<dyn TraceSource>;
+        assert_schedules_agree("SILO", &cfg, &meter, slices, "uneven streams");
+
+        // A recorded capture replayed through the trace reader.
+        let header = silo_trace::TraceHeader {
+            cores: cfg.cores,
+            refs_per_core: 2_800,
+            seed: 8,
+            name: "uneven".into(),
+            provenance: "run.rs test".into(),
+        };
+        let mut writer = silo_trace::TraceWriter::new(Vec::new(), &header).expect("header");
+        let mut interleaved = SliceTrace::new(&traces);
+        let mut pull = RoundRobin::new(cfg.cores);
+        let mut refs = Vec::new();
+        pull.fill(&mut interleaved, &mut refs, usize::MAX);
+        for (c, mr) in refs {
+            writer.write(c, mr).expect("write");
+        }
+        let bytes = writer.finish().expect("finish");
+        let replay = || {
+            Box::new(silo_trace::TraceReader::new(&bytes[..]).expect("capture"))
+                as Box<dyn TraceSource>
+        };
+        assert_schedules_agree("baseline", &cfg, &meter, replay, "trace replay");
+        let direct = run_scheduled(
+            "baseline",
+            &cfg,
+            &meter,
+            &mut SliceTrace::new(&traces),
+            Schedule::Pipelined,
+        );
+        let replayed = run_scheduled(
+            "baseline",
+            &cfg,
+            &meter,
+            &mut *replay(),
+            Schedule::Pipelined,
+        );
+        assert_eq!(
+            direct.stats, replayed.stats,
+            "replay differs from the direct run"
+        );
+    }
+
+    #[test]
+    fn only_plain_runs_with_a_spare_core_take_two_threads() {
+        let every = NonZeroU64::new(64).expect("nonzero");
+        for mode in [RunMode::Checked(every), RunMode::Profiled] {
+            let (schedule, threads) = Threads::claim(mode);
+            assert_eq!((schedule, threads.0), (Schedule::Sequential(mode), 1));
+        }
+        match Threads::claim(RunMode::Plain) {
+            (Schedule::Pipelined, threads) => {
+                assert_eq!(threads.0, 2);
+                assert!(host_threads() >= 2);
+            }
+            (schedule, threads) => {
+                assert_eq!(
+                    (schedule, threads.0),
+                    (Schedule::Sequential(RunMode::Plain), 1)
+                );
+            }
+        }
+        // With every host thread claimed, a plain run finds no spare core.
+        let _busy: Vec<Threads> = (0..host_threads())
+            .map(|_| Threads::claim(RunMode::Profiled).1)
+            .collect();
+        assert_eq!(
+            Threads::claim(RunMode::Plain).0,
+            Schedule::Sequential(RunMode::Plain)
+        );
+    }
+
+    /// SILO under [`Schedule::Pipelined`], wrapped to panic in the engine
+    /// at access `panic_at`.
+    fn pipelined_faulty(panic_at: u64, timing: fn(&SystemConfig) -> TimingModel) {
+        let cfg = quick_cfg();
+        let spec = quick_spec();
+        let mut engine = Faulty {
+            inner: SystemRegistry::builtin()
+                .get("SILO")
+                .expect("builtin")
+                .instantiate(&cfg)
+                .engine,
+            accesses: 0,
+            fail_after: u64::MAX,
+            panic_at,
+        };
+        let mut source = spec.source(cfg.cores, cfg.scale, 1).expect("source");
+        let _ = Schedule::Pipelined.run(
+            &mut engine,
+            &mut timing(&cfg),
+            &cfg,
+            &spec.name,
+            &mut *source,
+            &MeterConfig::default(),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "injected engine panic at access 5000")]
+    fn pipelined_engine_panics_resurface_on_the_caller() {
+        pipelined_faulty(5_000, TimingModel::silo);
+    }
+
+    #[test]
+    #[should_panic(expected = "vault step in a system without vaults")]
+    fn pipelined_timing_panics_end_the_engine_stage() {
+        // A SILO engine priced by the baseline's model: the first vault
+        // step panics on the calling thread while the engine thread
+        // still has batches to run.
+        pipelined_faulty(u64::MAX, TimingModel::baseline);
     }
 }

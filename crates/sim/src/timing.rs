@@ -10,7 +10,7 @@
 //! the load-to-use latency.
 
 use crate::config::SystemConfig;
-use silo_coherence::{AccessResult, Background, Step};
+use silo_coherence::{Background, Step};
 use silo_dram::BankArray;
 use silo_noc::{Mesh, NodeId};
 use silo_obs::{Lap, LapProbe};
@@ -110,21 +110,26 @@ impl TimingModel {
         self.memory.total_accesses()
     }
 
-    /// Prices one access issued at `now`: charges every critical-path
-    /// step in order and reserves background work at the completion time.
-    /// Returns the completion cycle.
+    /// Prices one access of `line` issued at `now`: charges every
+    /// critical-path step in order and reserves the background work at
+    /// the completion time. Returns the completion cycle.
     ///
     /// # Panics
     ///
     /// Panics if a step names a resource this system does not have (an
     /// engine/model mismatch).
-    pub fn charge(&mut self, now: Cycles, r: &AccessResult) -> Cycles {
-        let line = r.line;
+    pub fn charge(
+        &mut self,
+        now: Cycles,
+        line: LineAddr,
+        steps: &[Step],
+        background: &[Background],
+    ) -> Cycles {
         let mut t = now;
-        for step in &r.steps {
+        for step in steps {
             t = self.charge_step(t, line, step);
         }
-        for bg in &r.background {
+        for bg in background {
             self.reserve_background(t, line, bg);
         }
         t
@@ -143,12 +148,13 @@ impl TimingModel {
     pub fn charge_probed(
         &mut self,
         now: Cycles,
-        r: &AccessResult,
+        line: LineAddr,
+        steps: &[Step],
+        background: &[Background],
         probe: &mut TimingProbe,
     ) -> Cycles {
-        let line = r.line;
         let mut t = now;
-        for step in &r.steps {
+        for step in steps {
             t = self.charge_step(t, line, step);
             let bucket = match step {
                 Step::Net { .. } | Step::Invalidations { .. } => TP_MESH,
@@ -156,7 +162,7 @@ impl TimingModel {
             };
             probe.lap(bucket);
         }
-        for bg in &r.background {
+        for bg in background {
             self.reserve_background(t, line, bg);
             probe.lap(TP_BANK);
         }
@@ -179,13 +185,20 @@ impl TimingModel {
             Step::L1Probe { .. } => t + self.l1_probe,
             Step::Invalidations { home, mask } => {
                 // Parallel round: the farthest round trip plus one probe.
+                // Bits past the last node name no node and are ignored.
+                let nodes = self.mesh.nodes();
+                let mut victims = if nodes >= 64 {
+                    mask
+                } else {
+                    mask & ((1u64 << nodes) - 1)
+                };
                 let mut worst = Cycles::ZERO;
-                for node in 0..self.mesh.nodes() {
-                    if mask & (1u64 << node) != 0 {
-                        self.mesh.send(NodeId(home), NodeId(node));
-                        self.mesh.send(NodeId(node), NodeId(home));
-                        worst = worst.max(self.mesh.round_trip(NodeId(home), NodeId(node)));
-                    }
+                while victims != 0 {
+                    let node = NodeId(victims.trailing_zeros() as usize);
+                    victims &= victims - 1;
+                    let there = self.mesh.send(NodeId(home), node);
+                    let back = self.mesh.send(node, NodeId(home));
+                    worst = worst.max(there + back);
                 }
                 t + worst + self.l1_probe
             }
@@ -243,28 +256,18 @@ impl TimingModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use silo_coherence::ServedBy;
+
+    const LINE: LineAddr = LineAddr::new(9);
 
     fn silo_model() -> TimingModel {
         TimingModel::silo(&SystemConfig::paper_16core())
-    }
-
-    fn result(steps: Vec<Step>) -> AccessResult {
-        AccessResult {
-            served: Some(ServedBy::Memory),
-            steps,
-            background: Vec::new(),
-            llc_access: true,
-            line: LineAddr::new(9),
-            is_write: false,
-        }
     }
 
     #[test]
     fn net_steps_accumulate_mesh_latency() {
         let mut m = silo_model();
         // Node 0 -> 15 is 6 hops at 3 cycles.
-        let done = m.charge(Cycles(100), &result(vec![Step::Net { from: 0, to: 15 }]));
+        let done = m.charge(Cycles(100), LINE, &[Step::Net { from: 0, to: 15 }], &[]);
         assert_eq!(done, Cycles(118));
         assert_eq!(m.mesh().messages(), 1);
     }
@@ -272,9 +275,9 @@ mod tests {
     #[test]
     fn vault_steps_queue_behind_earlier_traffic() {
         let mut m = silo_model();
-        let r = result(vec![Step::VaultAccess { node: 3 }]);
-        let first = m.charge(Cycles(0), &r);
-        let second = m.charge(Cycles(0), &r);
+        let steps = [Step::VaultAccess { node: 3 }];
+        let first = m.charge(Cycles(0), LINE, &steps, &[]);
+        let second = m.charge(Cycles(0), LINE, &steps, &[]);
         assert_eq!(first, Cycles(11));
         assert_eq!(second, Cycles(22), "same line -> same bank serializes");
     }
@@ -285,18 +288,39 @@ mod tests {
         // Home 0, victims 1 (1 hop) and 15 (6 hops): worst RT = 36.
         let done = m.charge(
             Cycles(0),
-            &result(vec![Step::Invalidations {
+            LINE,
+            &[Step::Invalidations {
                 home: 0,
                 mask: (1 << 1) | (1 << 15),
-            }]),
+            }],
+            &[],
         );
         assert_eq!(done, Cycles(36 + 3));
+        // Two messages per victim, each on its own XY route.
+        assert_eq!(m.mesh().messages(), 4);
+        assert_eq!(m.mesh().total_hops(), 2 * (1 + 6));
+    }
+
+    #[test]
+    fn invalidation_bits_past_the_last_node_are_ignored() {
+        let inv = |mask| {
+            let mut m = silo_model();
+            let done = m.charge(
+                Cycles(0),
+                LINE,
+                &[Step::Invalidations { home: 5, mask }],
+                &[],
+            );
+            (done, m.mesh().messages(), m.mesh().link_flits().to_vec())
+        };
+        let victims = (1 << 0) | (1 << 10) | (1 << 15);
+        assert_eq!(inv(victims | (1 << 16) | (1 << 63)), inv(victims));
     }
 
     #[test]
     fn memory_step_uses_bank_reservation() {
         let mut m = silo_model();
-        let done = m.charge(Cycles(0), &result(vec![Step::Memory]));
+        let done = m.charge(Cycles(0), LINE, &[Step::Memory], &[]);
         assert_eq!(done, Cycles(100));
         assert_eq!(m.memory_accesses(), 1);
     }
@@ -304,12 +328,11 @@ mod tests {
     #[test]
     fn background_does_not_extend_latency() {
         let mut m = silo_model();
-        let mut r = result(vec![Step::Memory]);
-        r.background.push(Background::VaultFill {
+        let fill = Background::VaultFill {
             node: 0,
             dirty_writeback: true,
-        });
-        let done = m.charge(Cycles(0), &r);
+        };
+        let done = m.charge(Cycles(0), LINE, &[Step::Memory], &[fill]);
         assert_eq!(done, Cycles(100));
         // But the fill and writeback did occupy resources.
         assert!(m.vault_busy_cycles() > 0);
@@ -319,13 +342,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "without an LLC")]
     fn silo_model_rejects_llc_steps() {
-        silo_model().charge(Cycles(0), &result(vec![Step::LlcBank { bank: 0 }]));
+        silo_model().charge(Cycles(0), LINE, &[Step::LlcBank { bank: 0 }], &[]);
     }
 
     #[test]
     fn baseline_model_prices_llc_banks() {
         let mut m = TimingModel::baseline(&SystemConfig::paper_16core());
-        let done = m.charge(Cycles(0), &result(vec![Step::LlcBank { bank: 2 }]));
+        let done = m.charge(Cycles(0), LINE, &[Step::LlcBank { bank: 2 }], &[]);
         assert_eq!(done, Cycles(5));
     }
 }
