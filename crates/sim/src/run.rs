@@ -23,7 +23,7 @@
 //! schedule: a helper thread runs the engine over batches of references
 //! while the calling thread pulls the trace and retires each batch's
 //! results through the MSHRs, the [`TimingModel`] and the telemetry. It
-//! does so only when the host has a spare core for it (see [`run_with`]).
+//! does so whenever the host has more than one thread (see [`run_with`]).
 //! Both schedules retire every access through one function in one order,
 //! so their output is byte-identical. Checked and profiled runs always
 //! take the one-thread schedule.
@@ -48,7 +48,6 @@ use silo_types::stats::{ratio, Counter, Histogram};
 use silo_types::{Cycles, LineAddr, MemRef};
 use std::num::{NonZeroU64, NonZeroUsize};
 use std::panic;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, SyncSender};
 use std::sync::OnceLock;
 use std::thread;
@@ -609,11 +608,9 @@ type RunCore<P> = fn(
 /// `meter.epoch_refs` references the timeline records an epoch sample.
 ///
 /// A [`RunMode::Plain`] run takes the two-stage schedule (engine on a
-/// helper thread) when the host has a core to spare: the process counts
-/// the simulation threads its runs use, and a plain run takes two only
-/// if both fit within `std::thread::available_parallelism()`. Otherwise,
-/// and in every other mode, the run takes one thread. The output is the
-/// same either way.
+/// helper thread) when `std::thread::available_parallelism()` reports
+/// more than one host thread; on a one-thread host, and in every other
+/// mode, the run takes one thread. The output is the same either way.
 ///
 /// # Errors
 ///
@@ -630,8 +627,7 @@ pub fn run_with<P: Protocol + ?Sized>(
     meter: &MeterConfig,
     mode: RunMode,
 ) -> Result<RunOutput, String> {
-    let (schedule, _threads) = Threads::claim(mode);
-    schedule.run(engine, timing, cfg, workload_name, source, meter)
+    Schedule::of(mode).run(engine, timing, cfg, workload_name, source, meter)
 }
 
 /// [`run_with`] in [`RunMode::Plain`], which cannot fail.
@@ -657,7 +653,7 @@ pub fn run_metered_source<P: Protocol + ?Sized>(
 }
 
 /// How a run is laid out on host threads. [`run_with`] picks one per run
-/// by the spare-core rule ([`Threads::claim`]); tests force one.
+/// ([`Schedule::of`]); tests force one.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Schedule {
     /// One thread runs the loop of the given mode, engine then timing for
@@ -670,6 +666,20 @@ pub(crate) enum Schedule {
 }
 
 impl Schedule {
+    /// The schedule of a `mode` run: two stages for a plain run on a host
+    /// with more than one thread, else one thread. A sweep that already
+    /// keeps every core busy loses nothing by it: measured on a 2-vCPU
+    /// host, `silo-sim bench` and the default CLI sweep at two worker
+    /// threads took the same wall time with every run pipelined as with
+    /// every run on one thread.
+    pub(crate) fn of(mode: RunMode) -> Schedule {
+        if mode == RunMode::Plain && host_threads() >= 2 {
+            Schedule::Pipelined
+        } else {
+            Schedule::Sequential(mode)
+        }
+    }
+
     /// Runs the loop under this schedule; the arguments are
     /// [`run_with`]'s.
     pub(crate) fn run<P: Protocol + ?Sized>(
@@ -704,45 +714,10 @@ impl Schedule {
     }
 }
 
-/// Simulation threads in use by every run in this process. A plain
-/// count that publishes no other data, so `Relaxed` suffices.
-static SIM_THREADS: AtomicUsize = AtomicUsize::new(0);
-
 /// The host threads this process may run on, read once.
 fn host_threads() -> usize {
     static HOST: OnceLock<usize> = OnceLock::new();
     *HOST.get_or_init(|| thread::available_parallelism().map_or(1, NonZeroUsize::get))
-}
-
-/// One run's share of [`SIM_THREADS`], given back when the run ends,
-/// by unwinding too.
-struct Threads(usize);
-
-impl Threads {
-    /// The spare-core rule: a plain run takes the two-stage schedule
-    /// only if its two threads fit within the host's parallelism next to
-    /// every other run in the process. Any other run, and a plain run on
-    /// a busy host, takes one thread. So a sweep or a daemon that keeps
-    /// every core busy stays sequential, while a lone run uses the idle
-    /// core.
-    fn claim(mode: RunMode) -> (Schedule, Threads) {
-        let fits = |n: usize| (n + 2 <= host_threads()).then_some(n + 2);
-        if mode == RunMode::Plain
-            && SIM_THREADS
-                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, fits)
-                .is_ok()
-        {
-            return (Schedule::Pipelined, Threads(2));
-        }
-        SIM_THREADS.fetch_add(1, Ordering::Relaxed);
-        (Schedule::Sequential(mode), Threads(1))
-    }
-}
-
-impl Drop for Threads {
-    fn drop(&mut self) {
-        SIM_THREADS.fetch_sub(self.0, Ordering::Relaxed);
-    }
 }
 
 /// Pulls references from a source in the loop's order: one per live core
@@ -1798,32 +1773,17 @@ mod tests {
     }
 
     #[test]
-    fn only_plain_runs_with_a_spare_core_take_two_threads() {
+    fn only_plain_runs_on_a_multi_threaded_host_take_two_threads() {
         let every = NonZeroU64::new(64).expect("nonzero");
         for mode in [RunMode::Checked(every), RunMode::Profiled] {
-            let (schedule, threads) = Threads::claim(mode);
-            assert_eq!((schedule, threads.0), (Schedule::Sequential(mode), 1));
+            assert_eq!(Schedule::of(mode), Schedule::Sequential(mode));
         }
-        match Threads::claim(RunMode::Plain) {
-            (Schedule::Pipelined, threads) => {
-                assert_eq!(threads.0, 2);
-                assert!(host_threads() >= 2);
-            }
-            (schedule, threads) => {
-                assert_eq!(
-                    (schedule, threads.0),
-                    (Schedule::Sequential(RunMode::Plain), 1)
-                );
-            }
-        }
-        // With every host thread claimed, a plain run finds no spare core.
-        let _busy: Vec<Threads> = (0..host_threads())
-            .map(|_| Threads::claim(RunMode::Profiled).1)
-            .collect();
-        assert_eq!(
-            Threads::claim(RunMode::Plain).0,
+        let plain = if host_threads() >= 2 {
+            Schedule::Pipelined
+        } else {
             Schedule::Sequential(RunMode::Plain)
-        );
+        };
+        assert_eq!(Schedule::of(RunMode::Plain), plain);
     }
 
     /// SILO under [`Schedule::Pipelined`], wrapped to panic in the engine
