@@ -671,7 +671,7 @@ impl Schedule {
     /// keeps every core busy loses nothing by it: measured on a 2-vCPU
     /// host, `silo-sim bench` and the default CLI sweep at two worker
     /// threads took the same wall time with every run pipelined as with
-    /// every run on one thread.
+    /// runs kept on one thread while both cores were busy.
     pub(crate) fn of(mode: RunMode) -> Schedule {
         if mode == RunMode::Plain && host_threads() >= 2 {
             Schedule::Pipelined
