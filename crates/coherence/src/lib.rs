@@ -35,24 +35,3 @@ pub use node::{Node, NodeSpec};
 pub use state::State;
 pub use stats::CoherenceStats;
 pub use step::{AccessResult, Background, ServedBy, Step};
-
-/// Labels of the engine-step sub-phases both engines attribute their
-/// access work to under the hot-loop profiler, in bucket order: SRAM/
-/// vault lookup, directory & coherence transitions, cache fills, and
-/// victim/writeback handling.
-pub const ENGINE_SUBPHASES: [&str; 4] = ["l1_lookup", "directory", "fill", "writeback"];
-
-/// [`ENGINE_SUBPHASES`] bucket: SRAM probe and local vault lookup.
-pub const EP_L1: usize = 0;
-/// [`ENGINE_SUBPHASES`] bucket: directory lookups, state transitions,
-/// upgrades, and invalidations.
-pub const EP_DIR: usize = 1;
-/// [`ENGINE_SUBPHASES`] bucket: vault/LLC/SRAM fills.
-pub const EP_FILL: usize = 2;
-/// [`ENGINE_SUBPHASES`] bucket: victim eviction and writeback handling.
-pub const EP_WB: usize = 3;
-
-/// The concrete lap probe engines attribute sub-phases into — one
-/// bucket per [`ENGINE_SUBPHASES`] entry. Concrete (not generic) so
-/// `access_into_probed` stays object-safe on `dyn`-boxed protocols.
-pub type EngineProbe = silo_obs::LapProbe<4>;

@@ -14,9 +14,7 @@ use crate::node::{Node, NodeSpec, SramHit};
 use crate::state::State;
 use crate::stats::CoherenceStats;
 use crate::step::{AccessResult, Background, ServedBy, Step};
-use crate::{EngineProbe, EP_DIR, EP_FILL, EP_L1, EP_WB};
 use silo_cache::{ReplacementPolicy, SetAssocCache};
-use silo_obs::{Lap, NoProbe};
 use silo_types::{ByteSize, LineAddr, MemRef};
 
 /// Configuration of the shared-LLC baseline.
@@ -160,63 +158,24 @@ impl SharedMesi {
     ///
     /// Panics if `core` is out of range.
     pub fn access_into(&mut self, core: usize, mr: MemRef, r: &mut AccessResult) {
-        self.access_impl(core, mr, r, &mut NoProbe);
-    }
-
-    /// [`SharedMesi::access_into`] with sub-phase wall-clock attribution
-    /// into the [`crate::ENGINE_SUBPHASES`] buckets of `probe`, tiling
-    /// the call exactly. Simulated results are bit-identical to the
-    /// unprobed path (one shared body, generic over the probe).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `core` is out of range.
-    pub fn access_into_probed(
-        &mut self,
-        core: usize,
-        mr: MemRef,
-        r: &mut AccessResult,
-        probe: &mut EngineProbe,
-    ) {
-        self.access_impl(core, mr, r, probe);
-    }
-
-    /// The one access body both entry points monomorphize: [`NoProbe`]
-    /// compiles every lap out, a real [`EngineProbe`] attributes each
-    /// segment as it closes.
-    fn access_impl<P: Lap>(
-        &mut self,
-        core: usize,
-        mr: MemRef,
-        r: &mut AccessResult,
-        probe: &mut P,
-    ) {
         assert!(core < self.nodes.len(), "core {core} out of range");
-        probe.begin();
         r.clear();
         r.line = mr.line;
         r.is_write = mr.kind.is_write();
         match self.nodes[core].probe(mr.line, mr.kind) {
             SramHit::L1 => {
                 r.served = Some(ServedBy::L1);
-                probe.lap(EP_L1);
                 if mr.kind.is_write() {
                     self.write_permission(core, mr.line, r);
-                    probe.lap(EP_DIR);
                 }
             }
             SramHit::L2 => {
                 r.served = Some(ServedBy::L2);
-                probe.lap(EP_L1);
                 if mr.kind.is_write() {
                     self.write_permission(core, mr.line, r);
-                    probe.lap(EP_DIR);
                 }
             }
-            SramHit::Miss => {
-                probe.lap(EP_L1);
-                self.sram_miss(core, mr, r, probe);
-            }
+            SramHit::Miss => self.sram_miss(core, mr, r),
         }
     }
 
@@ -262,7 +221,7 @@ impl SharedMesi {
     }
 
     /// Handles an access that missed every SRAM level.
-    fn sram_miss<P: Lap>(&mut self, core: usize, mr: MemRef, r: &mut AccessResult, probe: &mut P) {
+    fn sram_miss(&mut self, core: usize, mr: MemRef, r: &mut AccessResult) {
         r.llc_access = true;
         let line = mr.line;
         let is_write = mr.kind.is_write();
@@ -316,7 +275,7 @@ impl SharedMesi {
                 // Owner degrades to S; a dirty owner writes back into the
                 // LLC so the S copies stay clean (MESI has no O state).
                 if ostate == State::M {
-                    self.fill_llc(line, true, r, probe, EP_DIR);
+                    self.fill_llc(line, true, r);
                     r.background.push(Background::L1Writeback { node: o });
                 }
                 self.dir.set_state(line, o, State::S);
@@ -352,7 +311,7 @@ impl SharedMesi {
                 to: core,
             });
             r.served = Some(ServedBy::Memory);
-            self.fill_llc(line, false, r, probe, EP_DIR);
+            self.fill_llc(line, false, r);
             if is_write {
                 if mask != 0 {
                     r.steps.push(Step::Invalidations { home: bank, mask });
@@ -372,23 +331,12 @@ impl SharedMesi {
             home: bank,
             ways: dir_ways,
         });
-        probe.lap(EP_DIR);
-        self.fill_sram(core, line, mr, r, probe);
+        self.fill_sram(core, line, mr, r);
     }
 
     /// Installs `line` into its LLC bank with the given dirty bit,
     /// accounting the fill and any dirty-victim writeback to memory.
-    /// Whatever ran since the caller's last lap is attributed to `seg`
-    /// before the insert; the insert itself lands in the fill bucket.
-    fn fill_llc<P: Lap>(
-        &mut self,
-        line: LineAddr,
-        dirty: bool,
-        r: &mut AccessResult,
-        probe: &mut P,
-        seg: usize,
-    ) {
-        probe.lap(seg);
+    fn fill_llc(&mut self, line: LineAddr, dirty: bool, r: &mut AccessResult) {
         let bank = self.bank_of(line);
         let dirty_writeback = match self.banks[bank].insert(line, dirty) {
             Some(victim) => victim.payload,
@@ -401,31 +349,21 @@ impl SharedMesi {
             bank,
             dirty_writeback,
         });
-        probe.lap(EP_FILL);
     }
 
     /// Fills the SRAM levels; a node-level victim leaves the directory,
     /// and a dirty victim is written back into the LLC.
-    fn fill_sram<P: Lap>(
-        &mut self,
-        core: usize,
-        line: LineAddr,
-        mr: MemRef,
-        r: &mut AccessResult,
-        probe: &mut P,
-    ) {
+    fn fill_sram(&mut self, core: usize, line: LineAddr, mr: MemRef, r: &mut AccessResult) {
         let victim = self.nodes[core].fill(line, mr.kind);
-        probe.lap(EP_FILL);
         if let Some(victim) = victim {
             let prev = self.dir.set_state(victim, core, State::I);
             if prev.is_valid() {
                 self.stats.directory_evictions.inc();
             }
             if prev == State::M {
-                self.fill_llc(victim, true, r, probe, EP_WB);
+                self.fill_llc(victim, true, r);
                 r.background.push(Background::L1Writeback { node: core });
             }
-            probe.lap(EP_WB);
         }
     }
 
@@ -644,34 +582,6 @@ mod tests {
         m.reset_stats();
         assert_eq!(m.stats(), crate::CoherenceStats::default());
         m.check().unwrap();
-    }
-
-    #[test]
-    fn probed_access_matches_unprobed_and_tiles_the_call() {
-        let mut plain = small();
-        let mut probed = small();
-        let mut probe = crate::EngineProbe::new();
-        let mut rng = 0xfeed_face_u64;
-        let mut r = AccessResult::default();
-        for i in 0..2000 {
-            rng = rng
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let core = (rng >> 33) as usize % 4;
-            let line = LineAddr::new((rng >> 17) % 4096);
-            let mr = if i % 3 == 0 {
-                MemRef::write(line)
-            } else {
-                MemRef::read(line)
-            };
-            probed.access_into_probed(core, mr, &mut r, &mut probe);
-            assert_eq!(plain.access(core, mr), r, "probe must not change results");
-        }
-        probed.check().unwrap();
-        assert_eq!(probe.calls(), 2000);
-        assert!(probe.samples()[crate::EP_L1] >= probe.calls());
-        assert!(probe.samples()[crate::EP_DIR] > 0);
-        assert!(probe.samples()[crate::EP_FILL] > 0);
     }
 
     #[test]

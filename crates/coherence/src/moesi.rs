@@ -18,9 +18,7 @@ use crate::node::{Node, NodeSpec, SramHit};
 use crate::state::State;
 use crate::stats::CoherenceStats;
 use crate::step::{AccessResult, Background, ServedBy, Step};
-use crate::{EngineProbe, EP_DIR, EP_FILL, EP_L1, EP_WB};
 use silo_cache::{ReplacementPolicy, SetAssocCache};
-use silo_obs::{Lap, NoProbe};
 use silo_types::{ByteSize, LineAddr, MemRef};
 
 /// Configuration of the SILO private hierarchy.
@@ -177,64 +175,24 @@ impl PrivateMoesi {
     ///
     /// Panics if `core` is out of range.
     pub fn access_into(&mut self, core: usize, mr: MemRef, r: &mut AccessResult) {
-        self.access_impl(core, mr, r, &mut NoProbe);
-    }
-
-    /// [`PrivateMoesi::access_into`] with sub-phase wall-clock
-    /// attribution: every segment of the access is lapped into one of
-    /// the [`crate::ENGINE_SUBPHASES`] buckets of `probe`, tiling the
-    /// call exactly. Simulated results are bit-identical to the
-    /// unprobed path (one shared body, generic over the probe).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `core` is out of range.
-    pub fn access_into_probed(
-        &mut self,
-        core: usize,
-        mr: MemRef,
-        r: &mut AccessResult,
-        probe: &mut EngineProbe,
-    ) {
-        self.access_impl(core, mr, r, probe);
-    }
-
-    /// The one access body both entry points monomorphize: [`NoProbe`]
-    /// compiles every lap out, a real [`EngineProbe`] attributes each
-    /// segment as it closes.
-    fn access_impl<P: Lap>(
-        &mut self,
-        core: usize,
-        mr: MemRef,
-        r: &mut AccessResult,
-        probe: &mut P,
-    ) {
         assert!(core < self.nodes.len(), "core {core} out of range");
-        probe.begin();
         r.clear();
         r.line = mr.line;
         r.is_write = mr.kind.is_write();
         match self.nodes[core].probe(mr.line, mr.kind) {
             SramHit::L1 => {
                 r.served = Some(ServedBy::L1);
-                probe.lap(EP_L1);
                 if mr.kind.is_write() {
                     self.write_permission(core, mr.line, r);
-                    probe.lap(EP_DIR);
                 }
             }
             SramHit::L2 => {
                 r.served = Some(ServedBy::L2);
-                probe.lap(EP_L1);
                 if mr.kind.is_write() {
                     self.write_permission(core, mr.line, r);
-                    probe.lap(EP_DIR);
                 }
             }
-            SramHit::Miss => {
-                probe.lap(EP_L1);
-                self.sram_miss(core, mr, r, probe);
-            }
+            SramHit::Miss => self.sram_miss(core, mr, r),
         }
     }
 
@@ -289,23 +247,20 @@ impl PrivateMoesi {
     }
 
     /// Handles an access that missed every SRAM level.
-    fn sram_miss<P: Lap>(&mut self, core: usize, mr: MemRef, r: &mut AccessResult, probe: &mut P) {
+    fn sram_miss(&mut self, core: usize, mr: MemRef, r: &mut AccessResult) {
         r.llc_access = true;
         let line = mr.line;
         let is_write = mr.kind.is_write();
 
         // Local vault TAD probe.
         let vstate = self.vaults[core].get(line).copied().unwrap_or(State::I);
-        probe.lap(EP_L1);
         if vstate.is_valid() {
             r.steps.push(Step::VaultAccess { node: core });
             r.served = Some(ServedBy::LocalVault);
             if is_write {
                 self.write_permission(core, line, r);
             }
-            probe.lap(EP_DIR);
             self.fill_sram(core, line, mr);
-            probe.lap(EP_FILL);
             return;
         }
         // Known local miss: with the ideal miss predictor the TAD probe is
@@ -406,26 +361,15 @@ impl PrivateMoesi {
             home,
             ways: dir_ways,
         });
-        probe.lap(EP_DIR);
-        self.fill_vault(core, line, new_state, r, probe);
+        self.fill_vault(core, line, new_state, r);
         self.fill_sram(core, line, mr);
-        probe.lap(EP_FILL);
     }
 
     /// Installs `line` into `core`'s vault, handling the direct-mapped
     /// victim: back-invalidate the SRAM (inclusion), retire the directory
     /// entry at the victim's home, and write dirty data back to memory.
-    fn fill_vault<P: Lap>(
-        &mut self,
-        core: usize,
-        line: LineAddr,
-        state: State,
-        r: &mut AccessResult,
-        probe: &mut P,
-    ) {
-        let victim = self.vaults[core].insert(line, state);
-        probe.lap(EP_FILL);
-        match victim {
+    fn fill_vault(&mut self, core: usize, line: LineAddr, state: State, r: &mut AccessResult) {
+        match self.vaults[core].insert(line, state) {
             Some(victim) => {
                 self.nodes[core].invalidate(victim.line);
                 self.dir.set_state(victim.line, core, State::I);
@@ -442,14 +386,12 @@ impl PrivateMoesi {
                     node: core,
                     dirty_writeback: victim.payload.is_dirty(),
                 });
-                probe.lap(EP_WB);
             }
             None => {
                 r.background.push(Background::VaultFill {
                     node: core,
                     dirty_writeback: false,
                 });
-                probe.lap(EP_FILL);
             }
         }
     }
@@ -721,37 +663,6 @@ mod tests {
         p.reset_stats();
         assert_eq!(p.stats(), crate::CoherenceStats::default());
         p.check().unwrap();
-    }
-
-    #[test]
-    fn probed_access_matches_unprobed_and_tiles_the_call() {
-        let mut plain = small();
-        let mut probed = small();
-        let mut probe = crate::EngineProbe::new();
-        let mut rng = 0xdead_beef_u64;
-        let mut r = AccessResult::default();
-        for i in 0..2000 {
-            rng = rng
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let core = (rng >> 33) as usize % 4;
-            let line = LineAddr::new((rng >> 17) % 4096);
-            let mr = if i % 3 == 0 {
-                MemRef::write(line)
-            } else {
-                MemRef::read(line)
-            };
-            probed.access_into_probed(core, mr, &mut r, &mut probe);
-            assert_eq!(plain.access(core, mr), r, "probe must not change results");
-        }
-        probed.check().unwrap();
-        assert_eq!(probe.calls(), 2000);
-        // Every access starts with an SRAM-probe lap; misses lap again
-        // for the vault probe, so lookups meet or exceed the call count.
-        assert!(probe.samples()[crate::EP_L1] >= probe.calls());
-        assert!(probe.samples()[crate::EP_DIR] > 0);
-        assert!(probe.samples()[crate::EP_FILL] > 0);
-        assert!(probe.samples()[crate::EP_WB] > 0, "vault conflicts occur");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Observability engines for the SILO toolchain.
 //!
-//! Independent engines plus hot-loop helpers, all dependency-free
+//! Independent engines plus a hot-loop profile, all dependency-free
 //! (only `silo-types`):
 //!
 //! * [`metrics`] — an ordered metrics registry of counters, gauges, and
@@ -11,11 +11,8 @@
 //!   directly in Perfetto or `chrome://tracing`.
 //! * [`profile`] — a per-phase wall-clock accumulator for the
 //!   simulator's hot loop (`silo-sim --profile`), with the same
-//!   trace-event export. Phases may nest; the sub-phase buckets come
-//!   from [`probe`] lap probes.
-//! * [`probe`] — gap-free stopwatch-lap probes for sub-phase
-//!   attribution, compiled out entirely via the [`NoProbe`]
-//!   implementation when profiling is off.
+//!   trace-event export. Phases may nest, and the loop fills them once
+//!   per batch of references.
 //! * [`log`] — a leveled, timestamped, bounded-ring structured event
 //!   log with NDJSON export (`GET /logs`, `--log-out`).
 //!
@@ -27,12 +24,10 @@
 
 pub mod log;
 pub mod metrics;
-pub mod probe;
 pub mod profile;
 pub mod trace;
 
 pub use crate::log::{EventLog, LogLevel, LogRecord};
 pub use metrics::{Counter, Gauge, Histo, Registry};
-pub use probe::{Lap, LapProbe, NoProbe};
 pub use profile::PhaseProfile;
 pub use trace::{Span, SpanRecorder};

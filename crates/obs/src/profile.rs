@@ -1,18 +1,16 @@
 //! Per-phase wall-clock accumulation for the simulator's hot loop.
 //!
 //! A [`PhaseProfile`] is a fixed set of named phases, each accumulating
-//! total nanoseconds and a sample count. The hot loop adds to it with a
-//! bounds-checked index per phase — cheap enough to run per reference
-//! when profiling is on, and compiled out entirely when off (the run
-//! loop monomorphizes on a `const PROFILED: bool`, the same trick the
-//! `--check` oracle uses).
+//! total nanoseconds and a sample count, plus the wall-clock of the
+//! profiled interval. The run loop adds to it once per batch of
+//! references, never per reference, so profiling costs a handful of
+//! clock reads per batch.
 //!
 //! Phases may form a tree ([`PhaseProfile::with_tree`]): a child phase
-//! attributes a sub-interval of its parent, as measured by a
-//! [`LapProbe`](crate::LapProbe), so e.g. `engine_step` can split into
-//! the coherence engine's lookup/directory/fill/writeback segments.
-//! Totals and shares are computed over root phases only — children are
-//! a refinement of their parent, not extra time.
+//! attributes a sub-interval of its parent. Roots may overlap in time
+//! (two pipeline stages run side by side), so a phase's
+//! [`share`](PhaseProfile::share) is of the recorded wall-clock, not of
+//! the sum of the roots.
 //!
 //! Profiles from multiple runs [`merge`](PhaseProfile::merge), and a
 //! profile exports as Chrome trace-event JSON (root phases laid
@@ -28,24 +26,12 @@ pub struct PhaseProfile {
     parents: Vec<Option<usize>>,
     nanos: Vec<u64>,
     samples: Vec<u64>,
+    wall_nanos: u64,
+    unattributed_nanos: u64,
+    clock_reads: u64,
 }
 
 impl PhaseProfile {
-    /// Creates a flat profile with the given phase labels, all zeroed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `labels` is empty.
-    pub fn new(labels: &[&str]) -> Self {
-        assert!(!labels.is_empty(), "profile needs at least one phase");
-        PhaseProfile {
-            labels: labels.iter().map(|l| (*l).to_string()).collect(),
-            parents: vec![None; labels.len()],
-            nanos: vec![0; labels.len()],
-            samples: vec![0; labels.len()],
-        }
-    }
-
     /// Creates a hierarchical profile: each phase is `(label, parent)`,
     /// where `parent` indexes an earlier phase (or `None` for a root).
     ///
@@ -68,6 +54,9 @@ impl PhaseProfile {
             parents: phases.iter().map(|(_, p)| *p).collect(),
             nanos: vec![0; phases.len()],
             samples: vec![0; phases.len()],
+            wall_nanos: 0,
+            unattributed_nanos: 0,
+            clock_reads: 0,
         }
     }
 
@@ -83,8 +72,7 @@ impl PhaseProfile {
     }
 
     /// Adds pre-accumulated time to phase `idx`: `nanos` total across
-    /// `samples` samples. This is how a [`LapProbe`](crate::LapProbe)'s
-    /// buckets fold into the profile once at the end of a run.
+    /// `samples` samples.
     ///
     /// # Panics
     ///
@@ -94,15 +82,13 @@ impl PhaseProfile {
         self.samples[idx] += samples;
     }
 
-    /// Number of phases.
-    pub fn len(&self) -> usize {
-        self.labels.len()
-    }
-
-    /// True when the profile has no phases (never: construction
-    /// requires at least one).
-    pub fn is_empty(&self) -> bool {
-        self.labels.is_empty()
+    /// Records the profiled interval: `wall` nanoseconds on the measuring
+    /// thread, `unattributed` of them outside every phase that thread
+    /// timed, and the `clock_reads` the measurement took.
+    pub fn add_wall(&mut self, wall: u64, unattributed: u64, clock_reads: u64) {
+        self.wall_nanos += wall;
+        self.unattributed_nanos += unattributed;
+        self.clock_reads += clock_reads;
     }
 
     /// Phase labels, in construction order.
@@ -110,25 +96,16 @@ impl PhaseProfile {
         &self.labels
     }
 
-    /// Parent phase of `idx`, or `None` for a root.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of range.
-    pub fn parent(&self, idx: usize) -> Option<usize> {
-        self.parents[idx]
-    }
-
     /// Indices of the direct children of `idx`, in construction order.
     pub fn children(&self, idx: usize) -> Vec<usize> {
-        (0..self.len())
+        (0..self.labels.len())
             .filter(|&i| self.parents[i] == Some(idx))
             .collect()
     }
 
     /// Indices of the root phases, in construction order.
     pub fn roots(&self) -> Vec<usize> {
-        (0..self.len())
+        (0..self.labels.len())
             .filter(|&i| self.parents[i].is_none())
             .collect()
     }
@@ -143,21 +120,31 @@ impl PhaseProfile {
         &self.samples
     }
 
-    /// Sum of the root phases' nanoseconds. Children refine their
-    /// parent's interval, so counting them too would double-book.
-    pub fn total_nanos(&self) -> u64 {
-        self.roots().into_iter().map(|i| self.nanos[i]).sum()
+    /// Wall-clock of the profiled interval, in nanoseconds.
+    pub fn wall_nanos(&self) -> u64 {
+        self.wall_nanos
     }
 
-    /// Fraction of total (root) time spent in phase `idx` (0.0 when
-    /// nothing was recorded). For a child phase this is its share of the
-    /// whole run, not of its parent.
+    /// The part of [`wall_nanos`](PhaseProfile::wall_nanos) the
+    /// measuring thread spent outside every phase it timed.
+    pub fn unattributed_nanos(&self) -> u64 {
+        self.unattributed_nanos
+    }
+
+    /// Clock reads the measurement took.
+    pub fn clock_reads(&self) -> u64 {
+        self.clock_reads
+    }
+
+    /// Fraction of the wall-clock spent in phase `idx` (0.0 when no wall
+    /// was recorded). Roots may overlap in time, so shares of different
+    /// roots need not sum to one.
     ///
     /// # Panics
     ///
     /// Panics if `idx` is out of range.
     pub fn share(&self, idx: usize) -> f64 {
-        silo_types::stats::ratio(self.nanos[idx], self.total_nanos())
+        silo_types::stats::ratio(self.nanos[idx], self.wall_nanos)
     }
 
     /// Accumulates another profile into this one.
@@ -174,6 +161,11 @@ impl PhaseProfile {
         for (s, o) in self.samples.iter_mut().zip(other.samples.iter()) {
             *s += o;
         }
+        self.add_wall(
+            other.wall_nanos,
+            other.unattributed_nanos,
+            other.clock_reads,
+        );
     }
 
     /// Renders the profile as a Chrome trace-event JSON document: one
@@ -187,7 +179,7 @@ impl PhaseProfile {
         let mut spans = Vec::with_capacity(self.labels.len());
         // Start of each phase's interval; for parents this doubles as
         // the running cursor its children advance.
-        let mut cursor = vec![0u64; self.len()];
+        let mut cursor = vec![0u64; self.labels.len()];
         let mut root_cursor = 0u64;
         for (i, label) in self.labels.iter().enumerate() {
             let dur_us = (self.nanos[i] + 500) / 1_000;
@@ -224,42 +216,50 @@ mod tests {
 
     #[test]
     fn accumulates_and_shares() {
-        let mut p = PhaseProfile::new(&["pull", "step"]);
+        let mut p = PhaseProfile::with_tree(&[("pull", None), ("step", None)]);
         p.add(0, 300);
         p.add(0, 100);
         p.add(1, 600);
-        assert_eq!(p.len(), 2);
+        p.add_wall(1250, 250, 7);
         assert_eq!(p.nanos(), &[400, 600]);
         assert_eq!(p.samples(), &[2, 1]);
-        assert_eq!(p.total_nanos(), 1000);
-        assert!((p.share(0) - 0.4).abs() < 1e-12);
-        assert!((p.share(1) - 0.6).abs() < 1e-12);
+        assert_eq!(p.wall_nanos(), 1250);
+        assert_eq!(p.unattributed_nanos(), 250);
+        assert_eq!(p.clock_reads(), 7);
+        assert!((p.share(0) - 0.32).abs() < 1e-12);
+        assert!((p.share(1) - 0.48).abs() < 1e-12);
     }
 
     #[test]
     fn empty_profile_has_zero_shares() {
-        let p = PhaseProfile::new(&["only"]);
-        assert_eq!(p.total_nanos(), 0);
+        let p = PhaseProfile::with_tree(&[("only", None)]);
+        assert_eq!(p.wall_nanos(), 0);
         assert_eq!(p.share(0), 0.0);
     }
 
     #[test]
     fn merge_sums_matching_phases() {
-        let mut a = PhaseProfile::new(&["x", "y"]);
-        let mut b = PhaseProfile::new(&["x", "y"]);
+        let mut a = PhaseProfile::with_tree(&[("x", None), ("y", None)]);
+        let mut b = PhaseProfile::with_tree(&[("x", None), ("y", None)]);
         a.add(0, 10);
         b.add(0, 5);
         b.add(1, 7);
+        a.add_wall(20, 5, 3);
+        b.add_wall(30, 1, 4);
         a.merge(&b);
         assert_eq!(a.nanos(), &[15, 7]);
         assert_eq!(a.samples(), &[2, 1]);
+        assert_eq!(
+            (a.wall_nanos(), a.unattributed_nanos(), a.clock_reads()),
+            (50, 6, 7)
+        );
     }
 
     #[test]
     #[should_panic(expected = "phase label mismatch")]
     fn merge_rejects_different_labels() {
-        let mut a = PhaseProfile::new(&["x"]);
-        a.merge(&PhaseProfile::new(&["y"]));
+        let mut a = PhaseProfile::with_tree(&[("x", None)]);
+        a.merge(&PhaseProfile::with_tree(&[("y", None)]));
     }
 
     #[test]
@@ -270,22 +270,22 @@ mod tests {
     }
 
     #[test]
-    fn tree_totals_count_roots_only() {
+    fn overlapping_roots_share_the_wall() {
         let mut p = PhaseProfile::with_tree(&[
+            ("caller", None),
+            ("pull", Some(0)),
+            ("retire", Some(0)),
             ("engine", None),
-            ("lookup", Some(0)),
-            ("dir", Some(0)),
-            ("timing", None),
         ]);
-        p.add_bulk(1, 300, 10);
-        p.add_bulk(2, 700, 10);
-        p.add_bulk(0, 1000, 10); // parent = sum of children, folded by the caller
-        p.add(3, 1000);
-        assert_eq!(p.total_nanos(), 2000, "children are not extra time");
-        assert!((p.share(0) - 0.5).abs() < 1e-12);
-        assert!((p.share(2) - 0.35).abs() < 1e-12);
-        assert_eq!(p.parent(1), Some(0));
-        assert_eq!(p.parent(3), None);
+        p.add(1, 300);
+        p.add(2, 700);
+        p.add_bulk(0, 1000, 2); // the parent: its children's sum
+        p.add(3, 900);
+        p.add_wall(1000, 0, 4);
+        assert!((p.share(0) - 1.0).abs() < 1e-12);
+        assert!((p.share(3) - 0.9).abs() < 1e-12, "stages overlap");
+        assert!((p.share(2) - 0.7).abs() < 1e-12);
+        assert_eq!(p.samples(), &[2, 1, 1, 1]);
         assert_eq!(p.children(0), vec![1, 2]);
         assert_eq!(p.roots(), vec![0, 3]);
     }
@@ -298,7 +298,7 @@ mod tests {
 
     #[test]
     fn chrome_export_lays_phases_end_to_end() {
-        let mut p = PhaseProfile::new(&["pull", "step"]);
+        let mut p = PhaseProfile::with_tree(&[("pull", None), ("step", None)]);
         p.add(0, 2_000_000); // 2000us
         p.add(1, 1_000_000); // 1000us
         let json = p.chrome_json();
@@ -318,8 +318,8 @@ mod tests {
         ]);
         p.add(0, 1_000_000);
         p.add(1, 2_000_000);
-        p.add_bulk(2, 500_000, 1);
-        p.add_bulk(3, 1_500_000, 1);
+        p.add(2, 500_000);
+        p.add(3, 1_500_000);
         let json = p.chrome_json();
         // step starts after pull; its children tile it from its start.
         assert!(json.contains("\"name\":\"step\""));

@@ -21,7 +21,7 @@ use crate::config::{SystemConfig, VaultDesign};
 use crate::error::ConfigError;
 use crate::json::Json;
 use crate::registry::SystemSpec;
-use crate::run::{RoundRobin, RunMode, RunStats, PROFILE_PHASES};
+use crate::run::{bound_by, RoundRobin, RunMode, RunStats, PROFILE_PHASES};
 use crate::workload::{SyntheticTrace, WorkloadSpec};
 use silo_coherence::ServedBy;
 use silo_obs::PhaseProfile;
@@ -39,7 +39,7 @@ pub const SCHEMA_HOTLOOP: &str = "silo-hotloop/v1";
 
 /// Version tag of the hot-loop self-profiler schema
 /// (`--profile-json`, rendered by [`profile_json`]).
-pub const SCHEMA_PROFILE: &str = "silo-profile/v1";
+pub const SCHEMA_PROFILE: &str = "silo-profile/v2";
 
 pub mod gate;
 pub mod throughput;
@@ -525,8 +525,8 @@ pub fn sweep_json(records: &[BenchRecord], seed: u64) -> Json {
     ])
 }
 
-/// One phase's entry in the `silo-profile/v1` run object; root phases
-/// additionally carry an additive `children` array with the same shape.
+/// One phase's entry in the `silo-profile/v2` run object; root phases
+/// additionally carry a `children` array with the same shape.
 fn profile_phase_obj(p: &PhaseProfile, i: usize) -> Vec<(String, Json)> {
     vec![
         ("name".into(), Json::Str(p.labels()[i].clone())),
@@ -537,12 +537,13 @@ fn profile_phase_obj(p: &PhaseProfile, i: usize) -> Vec<(String, Json)> {
 }
 
 /// Renders the hot-loop phase profiles of a profiled sweep into the
-/// `silo-profile/v1` document: the root phase list once at the top,
-/// then one entry per profiled run keyed by the point dimensions, with
-/// per-phase accumulated nanoseconds, sample counts, and time shares.
-/// A root phase with lap-probe sub-attribution carries an additive
-/// `children` array of the same shape (children tile the parent, so
-/// their `ns` sum to the parent's). Unprofiled runs contribute nothing.
+/// `silo-profile/v2` document: the root phase list once at the top,
+/// then one entry per profiled run keyed by the point dimensions. Each
+/// run carries its wall-clock, the part of it no calling-thread phase
+/// covers, the clock reads the profile took, the stage that bounds it,
+/// and per-phase accumulated nanoseconds, sample counts and shares of
+/// the wall. Each root carries a `children` array of the same shape
+/// whose `ns` sum to the root's. Unprofiled runs contribute nothing.
 pub fn profile_json(records: &[BenchRecord]) -> Json {
     let mut runs = Vec::new();
     for r in records {
@@ -553,17 +554,9 @@ pub fn profile_json(records: &[BenchRecord]) -> Json {
                 .into_iter()
                 .map(|i| {
                     let mut obj = profile_phase_obj(p, i);
-                    let kids = p.children(i);
-                    if !kids.is_empty() {
-                        obj.push((
-                            "children".into(),
-                            Json::Arr(
-                                kids.into_iter()
-                                    .map(|c| Json::Obj(profile_phase_obj(p, c)))
-                                    .collect(),
-                            ),
-                        ));
-                    }
+                    let kids = p.children(i).into_iter();
+                    let kids = kids.map(|c| Json::Obj(profile_phase_obj(p, c)));
+                    obj.push(("children".into(), Json::Arr(kids.collect())));
                     Json::Obj(obj)
                 })
                 .collect();
@@ -574,7 +567,13 @@ pub fn profile_json(records: &[BenchRecord]) -> Json {
                 ("scale".into(), Json::Int(r.point.scale as i128)),
                 ("mlp".into(), Json::Int(r.point.mlp as i128)),
                 ("vault".into(), Json::Str(r.point.vault.name().into())),
-                ("total_ns".into(), Json::Int(p.total_nanos() as i128)),
+                ("wall_ns".into(), Json::Int(p.wall_nanos().into())),
+                (
+                    "unattributed_ns".into(),
+                    Json::Int(p.unattributed_nanos().into()),
+                ),
+                ("clock_reads".into(), Json::Int(p.clock_reads().into())),
+                ("bound_by".into(), Json::Str(bound_by(p).into())),
                 ("phases".into(), Json::Arr(phases)),
             ]));
         }
@@ -665,18 +664,16 @@ mod tests {
                 assert_eq!(ra.telemetry.recorder, rb.telemetry.recorder);
                 assert!(ra.profile.is_none());
                 let p = rb.profile.as_ref().expect("profiled run has a profile");
-                // Roots first, then the engine and timing sub-phases.
-                assert_eq!(p.labels()[..PROFILE_PHASES.len()], PROFILE_PHASES);
-                assert_eq!(p.labels().len(), crate::run::profile_phase_tree().len());
-                // 2 cores x 500 refs: one engine-step sample per ref.
-                assert_eq!(p.samples()[1], 1_000);
-                // Disabled meter: the telemetry phase never fires.
-                assert_eq!(p.samples()[3], 0);
-                // Lap-probe children tile their parents exactly.
-                for parent in [1, 2] {
-                    let kids: u64 = p.children(parent).iter().map(|&i| p.nanos()[i]).sum();
-                    assert_eq!(kids, p.nanos()[parent]);
+                assert_eq!(p.labels().len(), crate::run::PROFILE_TREE.len());
+                // Roots first in the document order, each the sum of its
+                // children.
+                for root in p.roots() {
+                    let kids: u64 = p.children(root).iter().map(|&i| p.nanos()[i]).sum();
+                    assert_eq!(kids, p.nanos()[root]);
                 }
+                // 2 cores x 500 refs fit one batch of either executor.
+                assert_eq!(p.samples()[0], 1);
+                assert!(p.wall_nanos() > 0);
             }
         }
         let doc = profile_json(&prof);
@@ -686,27 +683,35 @@ mod tests {
         );
         let runs = doc.get("runs").and_then(Json::as_arr).expect("runs");
         assert_eq!(runs.len(), 4, "2 points x 2 systems");
-        let phases = runs[0]
-            .get("phases")
-            .and_then(Json::as_arr)
-            .expect("phases");
+        let run = &runs[0];
+        let wall = run.get("wall_ns").and_then(Json::as_i64).expect("wall_ns");
+        let unattributed = run
+            .get("unattributed_ns")
+            .and_then(Json::as_i64)
+            .expect("unattributed_ns");
+        assert!((0..=wall).contains(&unattributed));
+        assert!(run.get("clock_reads").and_then(Json::as_u64).is_some());
+        let bound = run
+            .get("bound_by")
+            .and_then(Json::as_str)
+            .expect("bound_by");
+        assert!(PROFILE_PHASES.contains(&bound), "{bound}");
+        let phases = run.get("phases").and_then(Json::as_arr).expect("phases");
         assert_eq!(phases.len(), PROFILE_PHASES.len(), "top level lists roots");
-        let shares: f64 = phases
-            .iter()
-            .map(|p| p.get("share").and_then(Json::as_f64).expect("share"))
-            .sum();
-        assert!((shares - 1.0).abs() < 1e-9, "shares sum to 1, got {shares}");
-        // engine_step carries a children array whose ns tile the parent.
-        let engine = &phases[1];
-        let parent_ns = engine.get("ns").and_then(Json::as_i64).expect("ns");
-        let child_ns: i64 = engine
-            .get("children")
-            .and_then(Json::as_arr)
-            .expect("children")
-            .iter()
-            .map(|c| c.get("ns").and_then(Json::as_i64).expect("child ns"))
-            .sum();
-        assert_eq!(child_ns, parent_ns);
+        for (root, name) in phases.iter().zip(PROFILE_PHASES) {
+            assert_eq!(root.get("name").and_then(Json::as_str), Some(name));
+            let ns = root.get("ns").and_then(Json::as_i64).expect("ns");
+            let child_ns: i64 = root
+                .get("children")
+                .and_then(Json::as_arr)
+                .expect("children")
+                .iter()
+                .map(|c| c.get("ns").and_then(Json::as_i64).expect("child ns"))
+                .sum();
+            assert_eq!(child_ns, ns, "{name} children sum to the root");
+            let share = root.get("share").and_then(Json::as_f64).expect("share");
+            assert!((share - ns as f64 / wall as f64).abs() < 1e-9);
+        }
         // Unprofiled records render an empty runs array.
         let empty = profile_json(&plain);
         assert_eq!(
@@ -715,9 +720,9 @@ mod tests {
         );
         // And the merged profile aggregates all four runs.
         let merged = merged_profile(&prof).expect("profiles present");
-        assert_eq!(merged.samples()[1], 4_000);
+        assert_eq!(merged.samples()[0], 4);
         assert!(merged_profile(&plain).is_none());
-        assert!(merged.chrome_json().contains("\"name\":\"engine_step\""));
+        assert!(merged.chrome_json().contains("\"name\":\"execute\""));
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! [`Simulation`]. All validation happens in
 //! [`SimulationBuilder::build`], which returns typed [`ConfigError`]s
 //! instead of panicking, so `silo-sim` is usable as a library; the CLI
-//! is a thin shim over this module.
+//! is a thin shim over this module. The `--check` and `--profile`
+//! settings become one [`RunMode`] per run: hooks on the one batch loop
+//! of [`crate::run`], never a different loop.
 
 use crate::bench::{self, BenchRecord, SweepSpec};
 use crate::config::{SystemConfig, VaultDesign};
@@ -228,21 +230,20 @@ impl SimulationBuilder {
     /// Enables the run-time invariant oracle (`--check`): every `refs`
     /// processed references each run replays the engine's structural
     /// invariants plus the loop's cross-layer assertions, panicking on
-    /// the first violation (a simulator bug). Off by default; when off,
-    /// the checks are compiled out of the hot loop and the results of a
-    /// later checked run are bit-identical.
+    /// the first violation (a simulator bug). Off by default; either way
+    /// the run takes the same batch loop, and a checked run's results
+    /// are bit-identical to an unchecked one's.
     pub fn check_every(mut self, refs: u64) -> Self {
         self.check = Some(refs);
         self
     }
 
     /// Enables the hot-loop self-profiler (`--profile`): every run
-    /// samples per-phase wall-clock (trace pull, engine step, timing,
-    /// telemetry) and attaches a `PhaseProfile` to its
-    /// [`crate::bench::SystemRun`]. Off by default; when off, the
-    /// profiler's clock reads are compiled out of the hot loop and
-    /// results are bit-identical either way. Mutually exclusive with
-    /// [`SimulationBuilder::check_every`].
+    /// times its caller and engine stages once per batch, on the
+    /// executor it takes anyway (see [`crate::run::PROFILE_TREE`]), and
+    /// attaches a `PhaseProfile` to its [`crate::bench::SystemRun`].
+    /// Off by default; results are bit-identical either way. Mutually
+    /// exclusive with [`SimulationBuilder::check_every`].
     pub fn profile(mut self, on: bool) -> Self {
         self.profile = on;
         self

@@ -17,7 +17,9 @@
 //!   variants (`silo-no-forward`, `baseline-2x`), extensible at runtime.
 //!   [`SystemSpec::run`] instantiates a system and drives it through
 //!   [`run_with`], whose [`RunMode`] selects a plain, invariant-checked
-//!   (`--check`), or self-profiled (`--profile`) run.
+//!   (`--check`), or self-profiled (`--profile`) run. All three take one
+//!   batch loop, with the engine stage on a helper thread on multi-CPU
+//!   hosts and inline on one-CPU hosts.
 //! * [`builder`] — [`Simulation::builder`] composes configs, systems,
 //!   workloads, and sweep axes; `build()` returns typed
 //!   [`ConfigError`]s instead of panicking.
@@ -28,8 +30,8 @@
 //! mlp × vault design) out across OS threads and emits machine-readable
 //! `silo-bench/v1` JSON through the dependency-free [`json`] module.
 //!
-//! The run loop streams: every run pulls references one at a time from
-//! a [`TraceSource`] (`silo-trace`) — the lazy synthetic generator
+//! The run loop streams: every run pulls references in round-robin
+//! batches from a [`TraceSource`] (`silo-trace`) — the lazy synthetic generator
 //! ([`SyntheticTrace`]), an in-memory slice, or a `.silotrace` replay
 //! file — so trace length is bounded by disk, not RAM.
 //! [`bench::record_traces`] (CLI `--record-traces DIR`) captures
@@ -97,7 +99,7 @@ pub use registry::{SystemInstance, SystemRegistry, SystemSpec};
 pub use report::{name_widths, print_report, render_report, render_row};
 pub use run::{
     run_metered_source, run_with, AnyEngine, Protocol, RunMode, RunOutput, RunStats, ServedCounts,
-    PROFILE_PHASES,
+    PROFILE_PHASES, PROFILE_TREE,
 };
 pub use scenario::Scenario;
 pub use serve::{SimJob, SimJobEngine};

@@ -136,16 +136,15 @@ OPTIONS:
                          stay bit-identical to an unchecked run
     --log FILE           append structured NDJSON event records (run
                          start, sweep done, outputs written) to FILE
-    --profile            hot-loop self-profiler: sample per-phase
-                         wall-clock (trace pull, engine step, timing,
-                         telemetry) for every run, attribute engine and
-                         timing time to lap-probe sub-phases (lookup /
-                         directory / fill / writeback and mesh / bank /
-                         mshr), and print the phase tree; results stay
+    --profile            hot-loop self-profiler: time each stage of
+                         every run's batch loop (caller: pull / retire /
+                         wait; engine: execute / wait) with a few clock
+                         reads per batch, and print the phase tree and
+                         the stage that bounds the run; results stay
                          bit-identical to an unprofiled run (mutually
                          exclusive with --check)
     --profile-json PATH  write the per-run phase profiles as
-                         silo-profile/v1 JSON (implies --profile)
+                         silo-profile/v2 JSON (implies --profile)
     --profile-trace PATH write the merged phase profile as Chrome
                          trace-event JSON for Perfetto / chrome://tracing
                          (implies --profile)
@@ -1127,9 +1126,9 @@ fn main() {
 }
 
 /// Prints the merged hot-loop phase profile as a tree: one row per root
-/// phase with accumulated wall-clock, sample count, and share of the
-/// total, and the lap-probe sub-phases indented under their parent
-/// (their wall-clock sums to the parent's — the probes tile it exactly).
+/// stage with its wall-clock, batch count, and share of the run's wall,
+/// its phases indented under it (they sum to the root), then the wall,
+/// the bounding stage and the profiler's own cost.
 fn print_profile(records: &[BenchRecord]) {
     let Some(p) = bench::merged_profile(records) else {
         return;
@@ -1155,6 +1154,13 @@ fn print_profile(records: &[BenchRecord]) {
             row(&p, c, "  ");
         }
     }
+    println!(
+        "wall {:.2} ms, bound by {}, {:.2} ms unattributed, {} clock reads",
+        p.wall_nanos() as f64 / 1e6,
+        silo_sim::run::bound_by(&p),
+        p.unattributed_nanos() as f64 / 1e6,
+        p.clock_reads()
+    );
 }
 
 /// Reports the resolved `silo-dram` sweep point behind every non-Table II

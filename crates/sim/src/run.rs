@@ -11,22 +11,25 @@
 //! a lazy synthetic generator, a `.silotrace` file reader, or an
 //! in-memory slice — so trace length is bounded by disk, not RAM.
 //!
-//! [`run_with`] is the one entry point. Its [`RunMode`] picks the plain,
-//! invariant-checked (`--check`), or self-profiled (`--profile`) build
-//! of the loop once per run, and every mode returns the same simulated
-//! [`RunOutput`] for the same reference stream.
+//! [`run_with`] is the one entry point, and every run takes one loop:
+//! the calling thread pulls references in round-robin order into a
+//! batch, the engine stage executes the batch, and the calling thread
+//! retires it through the MSHRs, the [`TimingModel`] and the telemetry.
+//! The engine never reads a cycle — the timing side only consumes its
+//! [`Step`]/[`Background`] output — so the engine stage may run on a
+//! helper thread. The host's thread count alone picks where: inline on
+//! the calling thread on a one-thread host, on a helper thread behind
+//! bounded channels otherwise. Both executors retire every access
+//! through one function in one order, so their output is byte-identical.
 //! [`crate::SystemSpec::run`] instantiates a registered system and calls
-//! it; [`run_metered_source`] is its plain-mode shorthand.
+//! [`run_with`]; [`run_metered_source`] is its plain-mode shorthand.
 //!
-//! The engine never reads a cycle: the timing side only consumes its
-//! [`Step`]/[`Background`] output. So a plain run may take a two-stage
-//! schedule: a helper thread runs the engine over batches of references
-//! while the calling thread pulls the trace and retires each batch's
-//! results through the MSHRs, the [`TimingModel`] and the telemetry. It
-//! does so whenever the host has more than one thread (see [`run_with`]).
-//! Both schedules retire every access through one function in one order,
-//! so their output is byte-identical. Checked and profiled runs always
-//! take the one-thread schedule.
+//! The [`RunMode`] only adds per-batch hooks to that loop: a checked run
+//! (`--check N`) cuts batches at multiples of N and sweeps the
+//! invariants after each such batch, and a profiled run (`--profile`)
+//! reads the clock a few times per batch to time each stage's phases.
+//! Every mode returns the same simulated [`RunOutput`] for the same
+//! reference stream.
 //!
 //! Every run drives the telemetry subsystem: a [`MeterConfig`] warmup
 //! window resets the measurement aggregates mid-run (cache, directory,
@@ -36,12 +39,11 @@
 //! `epoch_refs` references.
 
 use crate::config::SystemConfig;
-use crate::timing::{TimingModel, TimingProbe, TIMING_SUBPHASES, TP_MSHR};
+use crate::timing::TimingModel;
 use silo_coherence::{
-    AccessResult, Background, CoherenceStats, EngineProbe, PrivateMoesi, ServedBy, SharedMesi,
-    Step, ENGINE_SUBPHASES,
+    AccessResult, Background, CoherenceStats, PrivateMoesi, ServedBy, SharedMesi, Step,
 };
-use silo_obs::{Lap, PhaseProfile};
+use silo_obs::PhaseProfile;
 use silo_telemetry::{EpochEnv, MeterConfig, Recorder, ServiceLevel, Telemetry, Timeline};
 use silo_trace::TraceSource;
 use silo_types::stats::{ratio, Counter, Histogram};
@@ -50,8 +52,8 @@ use std::num::{NonZeroU64, NonZeroUsize};
 use std::panic;
 use std::sync::mpsc::{self, Receiver, SyncSender};
 use std::sync::OnceLock;
-use std::thread;
-use std::time::Instant;
+use std::thread::{self, ScopedJoinHandle};
+use std::time::{Duration, Instant};
 
 /// A protocol engine the simulation loop can drive. [`AnyEngine`]
 /// implements it for the built-in engines; tests implement it to inject
@@ -61,16 +63,6 @@ pub trait Protocol: Send {
     /// Executes one reference from `core`, writing into a caller-owned
     /// result so a hot loop can reuse the step buffers across accesses.
     fn access_into(&mut self, core: usize, mr: MemRef, out: &mut AccessResult);
-    /// [`Protocol::access_into`] with sub-phase wall-clock attribution
-    /// for the profiled run path: the engine laps its internal segments
-    /// (lookup, directory, fill, writeback) into `probe` as it goes.
-    fn access_into_probed(
-        &mut self,
-        core: usize,
-        mr: MemRef,
-        out: &mut AccessResult,
-        probe: &mut EngineProbe,
-    );
     /// Hints that `core` will access `line` shortly (the run loop issues
     /// this one round-robin turn ahead of the matching
     /// [`Protocol::access_into`]). Implementations may warm host-side
@@ -85,7 +77,8 @@ pub trait Protocol: Send {
     fn reset_coherence_stats(&mut self);
     /// Verifies the engine's structural invariants (directory caches,
     /// cache/directory agreement, occupancy). Called by the `--check`
-    /// oracle.
+    /// oracle, on the engine stage, after each batch that ends on a
+    /// check boundary.
     ///
     /// # Errors
     ///
@@ -110,19 +103,6 @@ impl Protocol for AnyEngine {
         match self {
             AnyEngine::Silo(e) => PrivateMoesi::access_into(e, core, mr, out),
             AnyEngine::Baseline(e) => SharedMesi::access_into(e, core, mr, out),
-        }
-    }
-    #[inline]
-    fn access_into_probed(
-        &mut self,
-        core: usize,
-        mr: MemRef,
-        out: &mut AccessResult,
-        probe: &mut EngineProbe,
-    ) {
-        match self {
-            AnyEngine::Silo(e) => PrivateMoesi::access_into_probed(e, core, mr, out, probe),
-            AnyEngine::Baseline(e) => SharedMesi::access_into_probed(e, core, mr, out, probe),
         }
     }
     #[inline]
@@ -170,48 +150,115 @@ impl From<SharedMesi> for AnyEngine {
     }
 }
 
-/// Phase labels of the hot-loop self-profiler, in index order: trace
-/// pull (source + prefetch hint), engine step (`access_into`), timing
-/// (MSHR bookkeeping + `TimingModel::charge`), and telemetry (epoch
-/// sampling; zero samples when the meter is disabled).
-pub const PROFILE_PHASES: [&str; 4] = ["trace_pull", "engine_step", "timing", "telemetry"];
+/// The root phases of the hot-loop self-profiler: the calling thread
+/// and the engine stage.
+pub const PROFILE_PHASES: [&str; 2] = ["caller", "engine"];
 
-/// Index of `trace_pull` in [`PROFILE_PHASES`].
-const PH_TRACE: usize = 0;
-/// Index of `engine_step` in [`PROFILE_PHASES`].
-const PH_ENGINE: usize = 1;
-/// Index of `timing` in [`PROFILE_PHASES`].
-const PH_TIMING: usize = 2;
-/// Index of `telemetry` in [`PROFILE_PHASES`].
-const PH_TELEMETRY: usize = 3;
+/// The profiled run's phase tree, as `(label, parent)`. The `caller`
+/// root splits into `pull` (trace pull and dispatch), `retire` (MSHRs,
+/// timing and telemetry) and `wait` (blocked on the engine stage); the
+/// `engine` root into `execute` and `wait` (blocked on the caller). Each
+/// root is the exact sum of its children. Under the inline executor the
+/// calling thread runs the engine stage itself, so both `wait` phases
+/// stay zero.
+pub const PROFILE_TREE: [(&str, Option<usize>); 7] = [
+    ("caller", None),
+    ("pull", Some(PH_CALLER)),
+    ("retire", Some(PH_CALLER)),
+    ("wait", Some(PH_CALLER)),
+    ("engine", None),
+    ("execute", Some(PH_ENGINE)),
+    ("wait", Some(PH_ENGINE)),
+];
 
-/// Index of the first engine sub-phase in the profiled phase tree (the
-/// [`ENGINE_SUBPHASES`] buckets, children of `engine_step`).
-const PH_ENGINE_CHILD0: usize = PROFILE_PHASES.len();
-/// Index of the first timing sub-phase in the profiled phase tree (the
-/// [`TIMING_SUBPHASES`] buckets, children of `timing`).
-const PH_TIMING_CHILD0: usize = PH_ENGINE_CHILD0 + ENGINE_SUBPHASES.len();
+const PH_CALLER: usize = 0;
+const PH_PULL: usize = 1;
+const PH_RETIRE: usize = 2;
+const PH_CALLER_WAIT: usize = 3;
+const PH_ENGINE: usize = 4;
+const PH_EXECUTE: usize = 5;
+const PH_ENGINE_WAIT: usize = 6;
 
-/// The profiled run's full phase tree: the four [`PROFILE_PHASES`]
-/// roots, then the [`ENGINE_SUBPHASES`] as children of `engine_step`,
-/// then the [`TIMING_SUBPHASES`] as children of `timing`. Each
-/// sub-phase group tiles its parent exactly — the lap probes take one
-/// clock read per segment boundary, so children sum to the parent by
-/// construction.
-pub fn profile_phase_tree() -> Vec<(&'static str, Option<usize>)> {
-    let mut tree: Vec<(&'static str, Option<usize>)> =
-        PROFILE_PHASES.iter().map(|&l| (l, None)).collect();
-    tree.extend(ENGINE_SUBPHASES.iter().map(|&l| (l, Some(PH_ENGINE))));
-    tree.extend(TIMING_SUBPHASES.iter().map(|&l| (l, Some(PH_TIMING))));
-    tree
+/// The stage that bounds a profiled run: the root of [`PROFILE_TREE`]
+/// with the larger busy time (its phases other than `wait`).
+pub fn bound_by(p: &PhaseProfile) -> &'static str {
+    let ns = p.nanos();
+    if ns[PH_EXECUTE] >= ns[PH_PULL] + ns[PH_RETIRE] {
+        PROFILE_PHASES[1]
+    } else {
+        PROFILE_PHASES[0]
+    }
 }
 
-/// Nanoseconds since `t`, saturating at `u64::MAX`.
-#[inline]
-fn elapsed_ns(t: Instant) -> u64 {
-    u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX)
+/// One thread's side of a profiled run: a stopwatch whose every lap
+/// takes one clock read that ends one [`PROFILE_TREE`] phase and starts
+/// the next. Inert — no clock reads — when the run is not profiled.
+struct Profiler {
+    /// The start and the latest lap; `None` when off.
+    clock: Option<(Instant, Instant)>,
+    phases: PhaseProfile,
+    /// Nanoseconds lapped, and clock reads taken, on this thread.
+    lapped: u64,
+    reads: u64,
 }
 
+impl Profiler {
+    fn new(on: bool) -> Self {
+        Profiler {
+            clock: on.then(|| {
+                let now = Instant::now();
+                (now, now)
+            }),
+            phases: PhaseProfile::with_tree(&PROFILE_TREE),
+            lapped: 0,
+            reads: u64::from(on),
+        }
+    }
+
+    /// Ends this thread's current phase, attributing it to `phase`.
+    #[inline]
+    fn lap(&mut self, phase: usize) {
+        if let Some((_, last)) = &mut self.clock {
+            let now = Instant::now();
+            let ns = nanos(now.duration_since(*last));
+            *last = now;
+            self.lapped += ns;
+            self.reads += 1;
+            self.phases.add(phase, ns);
+        }
+    }
+
+    /// The calling thread's finished profile, or `None` when off, with
+    /// the `helper` thread's phases folded in: each root gets its
+    /// children's sum over one sample per batch, and the wall runs from
+    /// the start of the run to this call.
+    fn finish(mut self, helper: Option<Profiler>) -> Option<PhaseProfile> {
+        let (start, _) = self.clock?;
+        let wall = nanos(start.elapsed());
+        let p = &mut self.phases;
+        if let Some(h) = helper {
+            p.merge(&h.phases);
+            self.reads += h.reads;
+        }
+        for (root, kids, per_batch) in [
+            (PH_CALLER, PH_PULL..PH_ENGINE, PH_RETIRE),
+            (PH_ENGINE, PH_EXECUTE..PROFILE_TREE.len(), PH_EXECUTE),
+        ] {
+            let ns = kids.map(|k| p.nanos()[k]).sum();
+            p.add_bulk(root, ns, p.samples()[per_batch]);
+        }
+        // The wall's end read counts too.
+        p.add_wall(wall, wall.saturating_sub(self.lapped), self.reads + 1);
+        Some(self.phases)
+    }
+}
+
+/// A duration in whole nanoseconds, saturating at `u64::MAX`.
+fn nanos(d: Duration) -> u64 {
+    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
+}
+
+/// The telemetry-side service-level tag of a coherence classification.
 /// The telemetry-side service-level tag of a coherence classification.
 fn service_level(s: ServedBy) -> ServiceLevel {
     match s {
@@ -507,69 +554,25 @@ impl OracleBase {
     }
 }
 
-/// One oracle sweep: the engine's own structural invariants, the MSHR
-/// occupancy bound, and monotonicity of the cumulative timing counters.
-/// `#[cold]` keeps it off the hot loop's inlining budget — with
-/// checking disabled the call site is compiled out entirely.
-#[cold]
-fn oracle_sweep<P: Protocol + ?Sized>(
-    engine: &P,
-    timing: &TimingModel,
-    cores: &[CoreState],
-    mlp: usize,
-    processed: u64,
-    prev: &mut OracleBase,
-) -> Result<(), String> {
-    engine
-        .check_invariants()
-        .map_err(|e| format!("after {processed} refs: {e}"))?;
-    for (c, core) in cores.iter().enumerate() {
-        if core.mshrs.len > mlp {
-            return Err(format!(
-                "after {processed} refs: core {c} holds {} in-flight misses, MSHR limit {mlp}",
-                core.mshrs.len
-            ));
-        }
-    }
-    let cur = OracleBase::capture(timing);
-    let monotone = [
-        ("mesh messages", prev.mesh_messages, cur.mesh_messages),
-        ("mesh hops", prev.mesh_hops, cur.mesh_hops),
-        ("memory accesses", prev.memory_accesses, cur.memory_accesses),
-        ("vault busy cycles", prev.vault_busy, cur.vault_busy),
-    ];
-    for (name, before, now) in monotone {
-        if now < before {
-            return Err(format!(
-                "after {processed} refs: cumulative {name} went backwards ({before} -> {now})"
-            ));
-        }
-    }
-    *prev = cur;
-    Ok(())
-}
-
-/// How [`run_with`] drives the hot loop. Each mode runs its own
-/// monomorphization of the loop, chosen once per run, so the
-/// per-reference path never tests the mode. Every mode only observes
-/// the simulation: the statistics and telemetry of a run are
+/// What [`run_with`] does besides simulating. Each mode is a hook the
+/// loop tests once per batch, never per reference. Every mode only
+/// observes the simulation: the statistics and telemetry of a run are
 /// **bit-identical** across modes (the golden `check_oracle` and the
-/// profiled-sweep tests pin this).
+/// executor × mode identity tests pin this).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum RunMode {
-    /// Simulate only; the oracle and the profiler are compiled out.
+    /// Simulate only.
     #[default]
     Plain,
     /// The run-time invariant oracle (`--check`): every `n` processed
     /// references it replays the engine's structural invariants plus
     /// the loop's own cross-layer assertions, and aborts the run with a
-    /// located error on the first violation.
+    /// located error on the first violation. Batches end at multiples
+    /// of `n`, so each sweep sees exactly `n`, `2n`, … references.
     Checked(NonZeroU64),
-    /// The hot-loop self-profiler (`--profile`): each of the
-    /// [`PROFILE_PHASES`] is wall-clock sampled per reference (trace
-    /// pull per round), and the engine and timing phases are further
-    /// attributed to the [`profile_phase_tree`] sub-phases by lap
-    /// probes.
+    /// The hot-loop self-profiler (`--profile`): each stage laps the
+    /// [`PROFILE_TREE`] phases once per batch, on the executor the run
+    /// takes anyway.
     Profiled,
 }
 
@@ -586,17 +589,6 @@ pub struct RunOutput {
     pub profile: Option<PhaseProfile>,
 }
 
-/// The loop's signature, shared by its three monomorphizations.
-type RunCore<P> = fn(
-    &mut P,
-    &mut TimingModel,
-    &SystemConfig,
-    &str,
-    &mut dyn TraceSource,
-    &MeterConfig,
-    u64,
-) -> Result<RunOutput, String>;
-
 /// Drives `engine` over `source`, pricing every access with `timing`.
 /// Cores are interleaved round-robin — one reference per live core per
 /// turn — until every core's stream is exhausted, which keeps
@@ -607,10 +599,10 @@ type RunCore<P> = fn(
 /// aggregates reset (simulated state is untouched), and every
 /// `meter.epoch_refs` references the timeline records an epoch sample.
 ///
-/// A [`RunMode::Plain`] run takes the two-stage schedule (engine on a
-/// helper thread) when `std::thread::available_parallelism()` reports
-/// more than one host thread; on a one-thread host, and in every other
-/// mode, the run takes one thread. The output is the same either way.
+/// The engine stage runs on a helper thread when
+/// `std::thread::available_parallelism()` reports more than one host
+/// thread, and inline on the calling thread otherwise, whatever the
+/// `mode`. The output is the same either way.
 ///
 /// # Errors
 ///
@@ -652,32 +644,38 @@ pub fn run_metered_source<P: Protocol + ?Sized>(
     (out.stats, out.telemetry)
 }
 
-/// How a run is laid out on host threads. [`run_with`] picks one per run
-/// ([`Schedule::of`]); tests force one.
+/// Where the engine stage of the loop runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Schedule {
-    /// One thread runs the loop of the given mode, engine then timing for
-    /// each reference.
-    Sequential(RunMode),
-    /// A plain run in two stages: a helper thread runs the engine over
-    /// batches of references while the calling thread pulls the trace
-    /// and retires the engine's results ([`run_pipelined`]).
-    Pipelined,
+pub(crate) enum Executor {
+    /// On the calling thread: pull a batch, execute it, retire it.
+    Inline,
+    /// On a helper thread, fed and drained through bounded channels, so
+    /// the calling thread pulls and retires while the engine executes.
+    Threaded,
+}
+
+/// How one run is laid out: its mode and its executor. [`run_with`]
+/// takes [`Schedule::of`] its mode; tests force an executor.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Schedule {
+    pub(crate) mode: RunMode,
+    pub(crate) executor: Executor,
 }
 
 impl Schedule {
-    /// The schedule of a `mode` run: two stages for a plain run on a host
-    /// with more than one thread, else one thread. A sweep that already
+    /// The schedule of a `mode` run: the threaded executor on a host with
+    /// more than one thread, else the inline one. A sweep that already
     /// keeps every core busy loses nothing by it: measured on a 2-vCPU
     /// host, `silo-sim bench` and the default CLI sweep at two worker
-    /// threads took the same wall time with every run pipelined as with
+    /// threads took the same wall time with every run threaded as with
     /// runs kept on one thread while both cores were busy.
     pub(crate) fn of(mode: RunMode) -> Schedule {
-        if mode == RunMode::Plain && host_threads() >= 2 {
-            Schedule::Pipelined
+        let executor = if host_threads() >= 2 {
+            Executor::Threaded
         } else {
-            Schedule::Sequential(mode)
-        }
+            Executor::Inline
+        };
+        Schedule { mode, executor }
     }
 
     /// Runs the loop under this schedule; the arguments are
@@ -691,26 +689,47 @@ impl Schedule {
         source: &mut dyn TraceSource,
         meter: &MeterConfig,
     ) -> Result<RunOutput, String> {
-        let (core, check_every): (RunCore<P>, u64) = match self {
-            Schedule::Pipelined => {
-                let out = run_pipelined(engine, timing, cfg, workload_name, source, meter);
-                return Ok(out);
-            }
-            Schedule::Sequential(RunMode::Plain) => (run_core::<P, false, false>, 0),
-            Schedule::Sequential(RunMode::Checked(every)) => {
-                (run_core::<P, true, false>, every.get())
-            }
-            Schedule::Sequential(RunMode::Profiled) => (run_core::<P, false, true>, 0),
-        };
-        core(
-            engine,
-            timing,
-            cfg,
-            workload_name,
+        let mut prof = Profiler::new(self.mode == RunMode::Profiled);
+        let mut r = Retirer::new(cfg, meter, source.len_hint(), timing);
+        let mut feed = Feed {
             source,
-            meter,
-            check_every,
-        )
+            pull: RoundRobin::new(cfg.cores),
+            pulled: 0,
+            check_every: match self.mode {
+                RunMode::Checked(n) => Some(n),
+                _ => None,
+            },
+        };
+        let stage = EngineStage {
+            engine: &mut *engine,
+            res: AccessResult::default(),
+            ahead: cfg.cores,
+            warmup_refs: meter.warmup_refs,
+            processed: 0,
+        };
+        let (checked, helper) = match self.executor {
+            Executor::Inline => {
+                let mut inline = Inline { stage, ready: None };
+                let checked = feed.drive(&mut inline, &mut r, timing, &mut prof, 1);
+                (checked, None)
+            }
+            Executor::Threaded => thread::scope(|s| {
+                let (todo, todo_rx) = mpsc::sync_channel::<Batch>(BATCHES);
+                let (done_tx, done) = mpsc::sync_channel::<Batch>(BATCHES);
+                let profiled = prof.clock.is_some();
+                let helper = s.spawn(move || engine_thread(stage, profiled, todo_rx, done_tx));
+                let mut threaded = Threaded {
+                    todo,
+                    done,
+                    helper: Some(helper),
+                };
+                let checked = feed.drive(&mut threaded, &mut r, timing, &mut prof, BATCHES);
+                (checked, Some(threaded.join()))
+            }),
+        };
+        checked?;
+        let profile = prof.finish(helper);
+        Ok(r.finish(engine, timing, workload_name, profile))
     }
 }
 
@@ -797,9 +816,9 @@ impl Executed {
 }
 
 /// The timing side of the loop: everything downstream of the engine.
-/// Both schedules feed it the same accesses in the same order through
-/// [`Retirer::retire`], so the MSHR, pricing, telemetry and warmup rules
-/// exist once.
+/// Both executors feed it the same accesses in the same order through
+/// [`Retirer::retire_batch`], so the MSHR, pricing, telemetry and warmup
+/// rules exist once.
 struct Retirer<'m> {
     meter: &'m MeterConfig,
     cores: Vec<CoreState>,
@@ -814,11 +833,9 @@ struct Retirer<'m> {
     base: MeasureBase,
     processed: u64,
     warmup_pending: bool,
-    /// The hot-loop profile; filled only by profiled runs.
-    profile: PhaseProfile,
-    /// The timing phase's lap probe (mesh/bank/MSHR); used only by
-    /// profiled runs.
-    tprobe: TimingProbe,
+    mlp: usize,
+    /// The counters the last oracle sweep saw.
+    oracle: OracleBase,
 }
 
 impl<'m> Retirer<'m> {
@@ -826,7 +843,7 @@ impl<'m> Retirer<'m> {
         cfg: &SystemConfig,
         meter: &'m MeterConfig,
         len_hint: Option<u64>,
-        profile: PhaseProfile,
+        timing: &TimingModel,
     ) -> Self {
         let mut timeline = Timeline::new(meter.epoch_refs.unwrap_or(0));
         if let Some(refs) = len_hint {
@@ -843,17 +860,75 @@ impl<'m> Retirer<'m> {
             base: MeasureBase::default(),
             processed: 0,
             warmup_pending: meter.warmup_refs > 0,
-            profile,
-            tprobe: TimingProbe::new(),
+            mlp: cfg.mlp,
+            oracle: OracleBase::capture(timing),
         }
+    }
+
+    /// Retires an executed batch, access by access, in order, and sweeps
+    /// the oracle after a batch that ends on a check boundary.
+    fn retire_batch(&mut self, timing: &mut TimingModel, batch: &mut Batch) -> Result<(), String> {
+        let (mut s, mut g) = (0, 0);
+        for (&(c, mr), &x) in batch.refs.iter().zip(&batch.executed) {
+            let (s_end, g_end) = (s + usize::from(x.steps), g + usize::from(x.background));
+            self.retire(
+                timing,
+                c,
+                mr,
+                x,
+                &batch.steps[s..s_end],
+                &batch.background[g..g_end],
+            );
+            (s, g) = (s_end, g_end);
+        }
+        if batch.check_due {
+            self.oracle_sweep(batch.fault.take(), timing)?;
+        }
+        Ok(())
+    }
+
+    /// One oracle sweep: the engine's own structural invariants (`fault`,
+    /// the violation the engine stage found when the batch ended, if
+    /// any), then the MSHR occupancy bound and the monotonicity of the
+    /// cumulative timing counters.
+    #[cold]
+    fn oracle_sweep(&mut self, fault: Option<String>, timing: &TimingModel) -> Result<(), String> {
+        let (processed, mlp) = (self.processed, self.mlp);
+        if let Some(e) = fault {
+            return Err(format!("after {processed} refs: {e}"));
+        }
+        for (c, core) in self.cores.iter().enumerate() {
+            if core.mshrs.len > mlp {
+                return Err(format!(
+                    "after {processed} refs: core {c} holds {} in-flight misses, MSHR limit {mlp}",
+                    core.mshrs.len
+                ));
+            }
+        }
+        let (prev, cur) = (self.oracle, OracleBase::capture(timing));
+        let monotone = [
+            ("mesh messages", prev.mesh_messages, cur.mesh_messages),
+            ("mesh hops", prev.mesh_hops, cur.mesh_hops),
+            ("memory accesses", prev.memory_accesses, cur.memory_accesses),
+            ("vault busy cycles", prev.vault_busy, cur.vault_busy),
+        ];
+        for (name, before, now) in monotone {
+            if now < before {
+                return Err(format!(
+                    "after {processed} refs: cumulative {name} went backwards ({before} -> {now})"
+                ));
+            }
+        }
+        self.oracle = cur;
+        Ok(())
     }
 
     /// Retires one executed access of core `c`: advances the core,
     /// prices an LLC access through its MSHRs and `timing`, and records
-    /// the telemetry. Returns true when this access ends the warmup
-    /// window; the engine's coherence counters reset at that point too.
+    /// the telemetry. The engine stage resets its own coherence counters
+    /// at the warmup boundary.
     #[inline(always)]
-    fn retire<const PROFILED: bool>(
+    fn retire(
         &mut self,
         timing: &mut TimingModel,
         c: usize,
@@ -861,7 +936,7 @@ impl<'m> Retirer<'m> {
         x: Executed,
         steps: &[Step],
         background: &[Background],
-    ) -> bool {
+    ) {
         // The reference instruction itself retires too: charge `gap + 1`
         // cycles to match the `gap + 1` instructions, or a hit-only trace
         // would report IPC above the base-CPI-1 ceiling.
@@ -871,15 +946,9 @@ impl<'m> Retirer<'m> {
         core.instructions += instructions;
         core.cursor += Cycles(instructions);
         self.served.record(x.served);
-        if PROFILED {
-            self.tprobe.begin();
-        }
         if !x.llc_access {
             // SRAM hit: absorbed by the pipeline at base CPI.
             core.finish = core.finish.max(core.cursor);
-            if PROFILED {
-                self.tprobe.lap(TP_MSHR);
-            }
         } else {
             self.llc_accesses += 1;
 
@@ -892,15 +961,8 @@ impl<'m> Retirer<'m> {
             };
             core.mshrs.drop_completed(issue);
             let issue = core.mshrs.acquire(issue);
-            if PROFILED {
-                self.tprobe.lap(TP_MSHR);
-            }
 
-            let done = if PROFILED {
-                timing.charge_probed(issue, x.line, steps, background, &mut self.tprobe)
-            } else {
-                timing.charge(issue, x.line, steps, background)
-            };
+            let done = timing.charge(issue, x.line, steps, background);
             let lat = (done - issue).as_u64();
             self.llc.record(lat);
             latency = Some(lat);
@@ -911,29 +973,20 @@ impl<'m> Retirer<'m> {
                 // The pipeline stalls behind a serialised miss.
                 core.cursor = core.cursor.max(done);
             }
-            if PROFILED {
-                self.tprobe.lap(TP_MSHR);
-            }
         }
 
         self.processed += 1;
         if self.sampling {
-            let t = PROFILED.then(Instant::now);
             self.timeline
                 .record_ref(service_level(x.served), instructions, latency);
             if self.timeline.epoch_full() {
                 self.timeline
                     .flush(&epoch_env(&self.cores, timing, self.meter));
             }
-            if let Some(t) = t {
-                self.profile.add(PH_TELEMETRY, elapsed_ns(t));
-            }
         }
         if self.warmup_pending && self.processed >= self.meter.warmup_refs {
             self.end_warmup(timing);
-            return true;
         }
-        false
     }
 
     /// Ends the warmup window: zeroes the measurement aggregates and
@@ -957,14 +1010,13 @@ impl<'m> Retirer<'m> {
     }
 
     /// Closes the run once every access has retired and `engine` is back
-    /// on the calling thread, and assembles its output. `profiled` keeps
-    /// the hot-loop profile, with the timing probe folded in.
+    /// on the calling thread, and assembles its output around `profile`.
     fn finish<P: Protocol + ?Sized>(
         mut self,
         engine: &mut P,
         timing: &TimingModel,
         workload_name: &str,
-        profiled: bool,
+        profile: Option<PhaseProfile>,
     ) -> RunOutput {
         if self.warmup_pending {
             // The warmup window swallowed the whole trace: still perform
@@ -975,13 +1027,6 @@ impl<'m> Retirer<'m> {
         }
         self.timeline
             .finish(&epoch_env(&self.cores, timing, self.meter));
-        if profiled {
-            let p = &self.tprobe;
-            for (i, (&ns, &n)) in p.nanos().iter().zip(p.samples()).enumerate() {
-                self.profile.add_bulk(PH_TIMING_CHILD0 + i, ns, n);
-            }
-            self.profile.add_bulk(PH_TIMING, p.total_nanos(), p.calls());
-        }
 
         let base = &self.base;
         let mesh = timing.mesh();
@@ -1034,120 +1079,37 @@ impl<'m> Retirer<'m> {
                 recorder,
                 timeline: self.timeline,
             },
-            profile: profiled.then_some(self.profile),
+            profile,
         }
     }
 }
 
-/// The one-thread loop behind [`Schedule::Sequential`]. `CHECKED` and
-/// `PROFILED` are const generics so the oracle branch and the profiler's
-/// clock reads vanish from the monomorphizations that don't use them
-/// instead of costing a per-reference test. Only three monomorphizations
-/// exist per engine type, one per [`RunMode`] (the builder rejects
-/// combining `--check` with `--profile` — the oracle sweep would dominate
-/// the phase timings).
-fn run_core<P: Protocol + ?Sized, const CHECKED: bool, const PROFILED: bool>(
-    engine: &mut P,
-    timing: &mut TimingModel,
-    cfg: &SystemConfig,
-    workload_name: &str,
-    source: &mut dyn TraceSource,
-    meter: &MeterConfig,
-    check_every: u64,
-) -> Result<RunOutput, String> {
-    // Untouched unless PROFILED: the clock reads that fill it are
-    // compiled out of the other monomorphizations.
-    let profile = if PROFILED {
-        PhaseProfile::with_tree(&profile_phase_tree())
-    } else {
-        PhaseProfile::new(&PROFILE_PHASES)
-    };
-    let mut r = Retirer::new(cfg, meter, source.len_hint(), profile);
-    let mut oracle = OracleBase::capture(timing);
-    // One result buffer for the whole run: the engines write into it via
-    // `access_into`, reusing the step vectors instead of allocating two
-    // per reference.
-    let mut res = AccessResult::default();
-    // The engine's lap probe for the profiled path, folded into the
-    // profile once after the loop; untouched (and compiled out of the hot
-    // path) when PROFILED is false.
-    let mut eprobe = EngineProbe::new();
-
-    // Two-phase rounds: pull one round's worth of references first
-    // (issuing the engine's host-cache prefetch hint for each), then
-    // execute them in the same order. Per-core streams are independent,
-    // so batching the pulls changes neither any stream nor the execution
-    // order — only how far ahead of its access each prefetch lands.
-    let mut pull = RoundRobin::new(cfg.cores);
-    let mut round: Vec<(usize, MemRef)> = Vec::with_capacity(cfg.cores);
-    loop {
-        round.clear();
-        let t = PROFILED.then(Instant::now);
-        if pull.fill(source, &mut round, cfg.cores) == 0 {
-            break;
-        }
-        for &(c, mr) in &round {
-            engine.prefetch(c, mr);
-        }
-        if let Some(t) = t {
-            r.profile.add(PH_TRACE, elapsed_ns(t));
-        }
-        for &(c, mr) in &round {
-            if PROFILED {
-                engine.access_into_probed(c, mr, &mut res, &mut eprobe);
-            } else {
-                engine.access_into(c, mr, &mut res);
-            }
-            let x = Executed::of(&res);
-            if r.retire::<PROFILED>(timing, c, mr, x, &res.steps, &res.background) {
-                engine.reset_coherence_stats();
-            }
-            if CHECKED && r.processed % check_every == 0 {
-                oracle_sweep(
-                    &*engine,
-                    timing,
-                    &r.cores,
-                    cfg.mlp,
-                    r.processed,
-                    &mut oracle,
-                )?;
-            }
-        }
-    }
-
-    if PROFILED {
-        // Fold the engine's lap-probe buckets into the hierarchical
-        // profile: each child gets its accumulated bucket, the parent the
-        // probe's total — so children sum to the parent exactly, and the
-        // parent sample count is the number of probed calls (one per
-        // access). `finish` does the same for the timing probe.
-        for (i, (&ns, &n)) in eprobe.nanos().iter().zip(eprobe.samples()).enumerate() {
-            r.profile.add_bulk(PH_ENGINE_CHILD0 + i, ns, n);
-        }
-        r.profile
-            .add_bulk(PH_ENGINE, eprobe.total_nanos(), eprobe.calls());
-    }
-    Ok(r.finish(engine, timing, workload_name, PROFILED))
-}
-
-/// References per batch of the two-stage schedule.
+/// References per batch, for both executors. Measured on a 2-vCPU host
+/// under `taskset -c 0` (`silo-sim bench --refs 100000 --threads 1`),
+/// the inline executor ran no faster with batches of 64, 256 or 1024
+/// references than with 2048.
 const BATCH: usize = 2048;
-/// Batches circulating between the two stages: one being executed, one
-/// being retired and refilled, and one queued so neither stage waits on
-/// the other's jitter.
+/// Batches circulating between the threaded executor's two stages: one
+/// being executed, one being retired and refilled, and one queued so
+/// neither stage waits on the other's jitter.
 const BATCHES: usize = 3;
 
-/// One batch of the two-stage schedule. The calling thread fills `refs`;
-/// the engine thread appends one [`Executed`] per reference and each
-/// access's steps and background work back to back; the calling thread
-/// retires it and refills the same buffers, so a run allocates only its
-/// first [`BATCHES`] batches.
+/// One batch of the loop. The calling thread fills `refs` (and
+/// `check_due`); the engine stage appends one [`Executed`] per reference
+/// and each access's steps and background work back to back; the
+/// calling thread retires it and refills the same buffers, so a run
+/// allocates only its first few batches.
 #[derive(Default)]
 struct Batch {
     refs: Vec<(usize, MemRef)>,
     executed: Vec<Executed>,
     steps: Vec<Step>,
     background: Vec<Background>,
+    /// The batch ends on a `--check` boundary: the engine stage checks
+    /// the engine's invariants after its last reference.
+    check_due: bool,
+    /// The violation that check found, if any.
+    fault: Option<String>,
 }
 
 impl Batch {
@@ -1159,126 +1121,199 @@ impl Batch {
     }
 }
 
-/// The engine stage of the two-stage schedule, on the helper thread:
-/// executes each batch from `todo` in order and hands it back on `done`.
-/// `ahead` is the host-cache prefetch distance (one round of the
-/// sequential loop). The coherence counters reset right after reference
-/// `warmup_refs`, exactly where the sequential loop resets them; a
-/// warmup that swallows the whole trace is closed by the caller. Returns
-/// when the caller hangs up either channel.
-fn engine_stage<P: Protocol + ?Sized>(
-    engine: &mut P,
+/// The engine side of the loop, shared by both executors.
+struct EngineStage<'e, P: ?Sized> {
+    engine: &'e mut P,
+    /// One result buffer for the whole run: the engine writes into it,
+    /// reusing the step vectors instead of allocating two per reference.
+    res: AccessResult,
+    /// The host-cache prefetch distance: one round-robin round.
     ahead: usize,
     warmup_refs: u64,
-    todo: Receiver<Batch>,
-    done: SyncSender<Batch>,
-) {
-    let mut res = AccessResult::default();
-    let mut processed = 0u64;
-    let mut warmup_pending = warmup_refs > 0;
-    for mut batch in todo {
-        for &(c, mr) in batch.refs.iter().take(ahead) {
+    processed: u64,
+}
+
+impl<P: Protocol + ?Sized> EngineStage<'_, P> {
+    /// Executes `batch` in order. Each reference's prefetch hint goes out
+    /// `ahead` references early; the coherence counters reset right after
+    /// reference `warmup_refs` (a warmup that swallows the whole trace is
+    /// closed by the caller); and a batch ending on a check boundary
+    /// carries the engine's invariant violation back.
+    fn execute(&mut self, batch: &mut Batch) {
+        let engine = &mut *self.engine;
+        for &(c, mr) in batch.refs.iter().take(self.ahead) {
             engine.prefetch(c, mr);
         }
         for (i, &(c, mr)) in batch.refs.iter().enumerate() {
-            if let Some(&(c, mr)) = batch.refs.get(i + ahead) {
+            if let Some(&(c, mr)) = batch.refs.get(i + self.ahead) {
                 engine.prefetch(c, mr);
             }
-            engine.access_into(c, mr, &mut res);
-            batch.executed.push(Executed::of(&res));
-            batch.steps.extend_from_slice(&res.steps);
-            batch.background.extend_from_slice(&res.background);
-            processed += 1;
-            if warmup_pending && processed >= warmup_refs {
-                warmup_pending = false;
+            engine.access_into(c, mr, &mut self.res);
+            batch.executed.push(Executed::of(&self.res));
+            batch.steps.extend_from_slice(&self.res.steps);
+            batch.background.extend_from_slice(&self.res.background);
+            self.processed += 1;
+            if self.processed == self.warmup_refs {
                 engine.reset_coherence_stats();
             }
         }
-        if done.send(batch).is_err() {
-            return;
+        if batch.check_due {
+            batch.fault = engine.check_invariants().err();
         }
     }
 }
 
-/// The loop behind [`Schedule::Pipelined`]: the engine runs in
-/// [`engine_stage`] on a scoped helper thread while this thread pulls
-/// references in [`RoundRobin`] order into batches, sends them ahead, and
-/// retires the executed batches in order through [`Retirer::retire`].
-/// The source stays on this thread. A panic on either side resurfaces
-/// here with its own payload: this thread's unwinding hangs up both
-/// channels, which ends the helper, and a helper's panic is rethrown
-/// when its channel closes.
-fn run_pipelined<P: Protocol + ?Sized>(
-    engine: &mut P,
-    timing: &mut TimingModel,
-    cfg: &SystemConfig,
-    workload_name: &str,
-    source: &mut dyn TraceSource,
-    meter: &MeterConfig,
-) -> RunOutput {
-    let mut r = Retirer::new(
-        cfg,
-        meter,
-        source.len_hint(),
-        PhaseProfile::new(&PROFILE_PHASES),
-    );
-    let (ahead, warmup_refs) = (cfg.cores, meter.warmup_refs);
-    let stage = &mut *engine;
-    thread::scope(|s| {
-        let (todo, todo_rx) = mpsc::sync_channel::<Batch>(BATCHES);
-        let (done_tx, done) = mpsc::sync_channel::<Batch>(BATCHES);
-        let helper = s.spawn(move || engine_stage(stage, ahead, warmup_refs, todo_rx, done_tx));
-        let rethrow = |helper: thread::ScopedJoinHandle<'_, ()>| -> ! {
-            match helper.join() {
-                Err(payload) => panic::resume_unwind(payload),
-                Ok(()) => unreachable!("the engine stage hung up mid-run"),
-            }
+/// An executor as the calling thread's loop sees it.
+trait Dispatch {
+    /// Hands a filled batch to the engine stage.
+    fn submit(&mut self, batch: Batch);
+    /// Takes back the oldest submitted batch, executed, lapping the
+    /// calling thread's time until then into `prof`.
+    fn complete(&mut self, prof: &mut Profiler) -> Batch;
+}
+
+/// The inline executor: the calling thread executes each batch itself,
+/// one batch in flight.
+struct Inline<'e, P: ?Sized> {
+    stage: EngineStage<'e, P>,
+    ready: Option<Batch>,
+}
+
+impl<P: Protocol + ?Sized> Dispatch for Inline<'_, P> {
+    fn submit(&mut self, batch: Batch) {
+        self.ready = Some(batch);
+    }
+
+    fn complete(&mut self, prof: &mut Profiler) -> Batch {
+        let mut batch = self.ready.take().expect("one batch in flight");
+        self.stage.execute(&mut batch);
+        prof.lap(PH_EXECUTE);
+        batch
+    }
+}
+
+/// The threaded executor: the engine stage runs [`engine_thread`] on a
+/// scoped helper, fed and drained through bounded channels. A panic on
+/// either side resurfaces on the calling thread with its own payload:
+/// the calling thread's unwinding hangs up both channels, which ends the
+/// helper, and a helper's panic is rethrown when its channel closes.
+struct Threaded<'s> {
+    todo: SyncSender<Batch>,
+    done: Receiver<Batch>,
+    /// `None` once joined.
+    helper: Option<ScopedJoinHandle<'s, Profiler>>,
+}
+
+impl Threaded<'_> {
+    /// Hangs up both channels, which stops the helper after its current
+    /// batch, and joins it.
+    fn join(self) -> Profiler {
+        drop((self.todo, self.done));
+        joined(self.helper.expect("the helper is joined once"))
+    }
+}
+
+/// The profiler of a helper that has returned, or its panic rethrown.
+fn joined(helper: ScopedJoinHandle<'_, Profiler>) -> Profiler {
+    helper
+        .join()
+        .unwrap_or_else(|payload| panic::resume_unwind(payload))
+}
+
+impl Dispatch for Threaded<'_> {
+    fn submit(&mut self, batch: Batch) {
+        // A helper that hung up has panicked; `complete` rethrows that.
+        let _ = self.todo.send(batch);
+    }
+
+    fn complete(&mut self, prof: &mut Profiler) -> Batch {
+        let Ok(batch) = self.done.recv() else {
+            joined(self.helper.take().expect("the helper is joined once"));
+            unreachable!("the engine stage hung up mid-run");
         };
-        let mut pull = RoundRobin::new(cfg.cores);
-        let mut spare: Vec<Batch> = (0..BATCHES).map(|_| Batch::default()).collect();
+        prof.lap(PH_CALLER_WAIT);
+        batch
+    }
+}
+
+/// The threaded executor's helper: executes each batch from `todo` in
+/// order and hands it back on `done`, lapping the engine's phases when
+/// `profiled`. Returns when the caller hangs up either channel.
+fn engine_thread<P: Protocol + ?Sized>(
+    mut stage: EngineStage<'_, P>,
+    profiled: bool,
+    todo: Receiver<Batch>,
+    done: SyncSender<Batch>,
+) -> Profiler {
+    let mut prof = Profiler::new(profiled);
+    for mut batch in todo {
+        prof.lap(PH_ENGINE_WAIT);
+        stage.execute(&mut batch);
+        prof.lap(PH_EXECUTE);
+        if done.send(batch).is_err() {
+            break;
+        }
+    }
+    prof
+}
+
+/// The calling thread's side of the loop: the source it pulls and the
+/// oracle's period.
+struct Feed<'s> {
+    source: &'s mut dyn TraceSource,
+    pull: RoundRobin,
+    /// References pulled so far.
+    pulled: u64,
+    check_every: Option<NonZeroU64>,
+}
+
+impl Feed<'_> {
+    /// Fills `batch` with up to [`BATCH`] references, ending it early at
+    /// the next check boundary. Returns false once every stream is dry.
+    fn fill(&mut self, batch: &mut Batch) -> bool {
+        let len = self.check_every.map_or(BATCH, |n| {
+            let to_boundary = n.get() - self.pulled % n.get();
+            usize::try_from(to_boundary).map_or(BATCH, |b| b.min(BATCH))
+        });
+        let got = self.pull.fill(&mut *self.source, &mut batch.refs, len);
+        self.pulled += got as u64;
+        batch.check_due = self.check_every.is_some_and(|n| self.pulled % n.get() == 0);
+        got > 0
+    }
+
+    /// The loop: keeps up to `depth` batches in flight through `x` and
+    /// retires each executed batch in order.
+    fn drive(
+        &mut self,
+        x: &mut impl Dispatch,
+        r: &mut Retirer<'_>,
+        timing: &mut TimingModel,
+        prof: &mut Profiler,
+        depth: usize,
+    ) -> Result<(), String> {
+        let mut spare: Vec<Batch> = (0..depth).map(|_| Batch::default()).collect();
         let mut in_flight = 0;
         loop {
             while let Some(mut batch) = spare.pop() {
-                if pull.fill(source, &mut batch.refs, BATCH) == 0 {
+                if !self.fill(&mut batch) {
                     spare.push(batch);
                     break;
                 }
-                if todo.send(batch).is_err() {
-                    rethrow(helper);
-                }
+                x.submit(batch);
                 in_flight += 1;
             }
+            prof.lap(PH_PULL);
             if in_flight == 0 {
-                break;
+                return Ok(());
             }
-            let Ok(mut batch) = done.recv() else {
-                rethrow(helper);
-            };
+            let mut batch = x.complete(prof);
             in_flight -= 1;
-            let (mut s, mut g) = (0, 0);
-            for (&(c, mr), &x) in batch.refs.iter().zip(&batch.executed) {
-                let (s_end, g_end) = (s + usize::from(x.steps), g + usize::from(x.background));
-                // The engine stage resets its own counters at the warmup
-                // boundary.
-                r.retire::<false>(
-                    timing,
-                    c,
-                    mr,
-                    x,
-                    &batch.steps[s..s_end],
-                    &batch.background[g..g_end],
-                );
-                (s, g) = (s_end, g_end);
-            }
+            r.retire_batch(timing, &mut batch)?;
+            prof.lap(PH_RETIRE);
             batch.clear();
             spare.push(batch);
         }
-        drop(todo);
-        if let Err(payload) = helper.join() {
-            panic::resume_unwind(payload);
-        }
-    });
-    r.finish(engine, timing, workload_name, false)
+    }
 }
 
 #[cfg(test)]
@@ -1454,28 +1489,58 @@ mod tests {
 
     #[test]
     fn profiled_subphases_tile_their_parents_exactly() {
-        // The lap probes take one clock read per segment boundary, so
-        // the engine and timing children must sum to their parent to the
-        // nanosecond — no gaps, no double counting.
+        // A profiled run laps each phase once per batch, never per
+        // reference: each root is the exact sum of its children, the
+        // clock-read count is bounded by the batch count and repeats
+        // exactly, and the statistics are the plain run's.
         let cfg = SystemConfig::paper_16core().with_cores(8);
         let spec = WorkloadSpec {
             refs_per_core: 2_000,
             ..WorkloadSpec::zipf_shared()
         };
-        let out = run_named("SILO", &cfg, &spec, 5, RunMode::Profiled).expect("profiled run");
-        let p = out.profile.expect("profiled runs carry a profile");
-        assert_eq!(p.labels().len(), profile_phase_tree().len());
-        let engine_children: u64 = p.children(PH_ENGINE).iter().map(|&i| p.nanos()[i]).sum();
-        assert_eq!(engine_children, p.nanos()[PH_ENGINE]);
-        let timing_children: u64 = p.children(PH_TIMING).iter().map(|&i| p.nanos()[i]).sum();
-        assert_eq!(timing_children, p.nanos()[PH_TIMING]);
-        // One probed engine call and one timing pass per reference.
-        assert_eq!(p.samples()[PH_ENGINE], 8 * 2_000);
-        assert_eq!(p.samples()[PH_TIMING], 8 * 2_000);
-        // Every access goes through the lookup bucket at least once.
-        assert!(p.nanos()[PH_ENGINE_CHILD0] > 0);
-        // Profiling must not perturb the simulation.
-        assert_eq!(out.stats, stats_of("SILO", &cfg, &spec, 5));
+        let meter = MeterConfig::default();
+        let run = |mode, executor| {
+            let mut source = spec.source(cfg.cores, cfg.scale, 5).expect("source");
+            run_scheduled(
+                "SILO",
+                &cfg,
+                &meter,
+                &mut *source,
+                Schedule { mode, executor },
+            )
+            .expect("unchecked runs cannot fail")
+        };
+        let plain = run(RunMode::Plain, Executor::Inline).stats;
+        for executor in [Executor::Inline, Executor::Threaded] {
+            let out = run(RunMode::Profiled, executor);
+            assert_eq!(out.stats, plain, "{executor:?}: profiling changed the run");
+            let p = out.profile.expect("profiled runs carry a profile");
+            assert_eq!(p.labels().len(), PROFILE_TREE.len());
+            for root in p.roots() {
+                let kids: u64 = p.children(root).iter().map(|&i| p.nanos()[i]).sum();
+                assert_eq!(
+                    kids,
+                    p.nanos()[root],
+                    "{executor:?}: children tile the root"
+                );
+            }
+            let batches = (8 * 2_000u64).div_ceil(BATCH as u64);
+            assert_eq!(p.samples()[PH_CALLER], batches);
+            assert_eq!(p.samples()[PH_ENGINE], batches);
+            assert!(
+                p.clock_reads() <= 8 * batches + 8,
+                "{executor:?}: {} clock reads for {batches} batches",
+                p.clock_reads()
+            );
+            let again = run(RunMode::Profiled, executor).profile.expect("profiled");
+            assert_eq!(p.clock_reads(), again.clock_reads());
+            assert!(p.unattributed_nanos() <= p.wall_nanos());
+            assert!(PROFILE_PHASES.contains(&bound_by(&p)));
+            if executor == Executor::Inline {
+                assert_eq!(p.nanos()[PH_CALLER_WAIT], 0);
+                assert_eq!(p.nanos()[PH_ENGINE_WAIT], 0);
+            }
+        }
     }
 
     #[test]
@@ -1520,16 +1585,6 @@ mod tests {
             );
             self.inner.access_into(core, mr, out);
         }
-        fn access_into_probed(
-            &mut self,
-            core: usize,
-            mr: MemRef,
-            out: &mut AccessResult,
-            probe: &mut EngineProbe,
-        ) {
-            self.accesses += 1;
-            self.inner.access_into_probed(core, mr, out, probe);
-        }
         fn prefetch(&self, core: usize, mr: MemRef) {
             self.inner.prefetch(core, mr);
         }
@@ -1558,51 +1613,59 @@ mod tests {
             .get("SILO")
             .expect("builtin")
             .clone();
-        let every = NonZeroU64::new(64).expect("nonzero");
-        let run_faulty = |fail_after: u64, mode: RunMode| {
-            let inst = sys.instantiate(&cfg);
-            let mut engine = Faulty {
-                inner: inst.engine,
-                accesses: 0,
-                fail_after,
-                panic_at: u64::MAX,
+        let period = |n| RunMode::Checked(NonZeroU64::new(n).expect("nonzero"));
+        let plain = stats_of("SILO", &cfg, &spec, 1);
+        for executor in [Executor::Inline, Executor::Threaded] {
+            let run_faulty = |fail_after: u64, mode: RunMode| {
+                let inst = sys.instantiate(&cfg);
+                let mut engine = Faulty {
+                    inner: inst.engine,
+                    accesses: 0,
+                    fail_after,
+                    panic_at: u64::MAX,
+                };
+                let mut timing = inst.timing;
+                let mut source = spec.source(cfg.cores, cfg.scale, 1).expect("source");
+                Schedule { mode, executor }.run(
+                    &mut engine,
+                    &mut timing,
+                    &cfg,
+                    &spec.name,
+                    &mut *source,
+                    &MeterConfig::default(),
+                )
             };
-            let mut timing = inst.timing;
-            let mut source = spec.source(cfg.cores, cfg.scale, 1).expect("source");
-            run_with(
-                &mut engine,
-                &mut timing,
-                &cfg,
-                &spec.name,
-                &mut *source,
-                &MeterConfig::default(),
-                mode,
-            )
-        };
-        // The fault appears at reference 1000; the oracle sweeps every
-        // 64 references, so the first sweep to see it runs after 1024.
-        let err = run_faulty(1_000, RunMode::Checked(every)).expect_err("oracle must fire");
-        assert_eq!(err, "after 1024 refs: injected fault at access 1024");
-        // A fault on a sweep boundary is caught by that very sweep.
-        let err = run_faulty(640, RunMode::Checked(every)).expect_err("oracle must fire");
-        assert!(err.starts_with("after 640 refs:"), "{err}");
-        // Unchecked runs never consult the oracle.
-        let plain = run_faulty(1, RunMode::Plain).expect("plain runs cannot fail");
-        assert_eq!(plain.stats, stats_of("SILO", &cfg, &spec, 1));
+            // The fault appears at reference 1000; the oracle sweeps every
+            // 64 references, so the first sweep to see it runs after 1024.
+            let err = run_faulty(1_000, period(64)).expect_err("oracle must fire");
+            assert_eq!(err, "after 1024 refs: injected fault at access 1024");
+            // A fault on a sweep boundary is caught by that very sweep.
+            let err = run_faulty(640, period(64)).expect_err("oracle must fire");
+            assert!(err.starts_with("after 640 refs:"), "{err}");
+            // A period that does not divide the batch length.
+            let err = run_faulty(1_000, period(3_000)).expect_err("oracle must fire");
+            assert_eq!(err, "after 3000 refs: injected fault at access 3000");
+            // A period longer than the trace never sweeps.
+            let long = run_faulty(1, period(10_000)).expect("no sweep, no fault");
+            assert_eq!(long.stats, plain, "{executor:?}");
+            // Unchecked runs never consult the oracle.
+            let unchecked = run_faulty(1, RunMode::Plain).expect("plain runs cannot fail");
+            assert_eq!(unchecked.stats, plain, "{executor:?}");
 
-        // The registry names the failing system ahead of the location.
-        let err = sys
-            .label(run_faulty(1_000, RunMode::Checked(every)))
-            .expect_err("still failing");
-        assert_eq!(
-            err,
-            "SILO: invariant violation after 1024 refs: injected fault at access 1024"
-        );
+            // The registry names the failing system ahead of the location.
+            let err = sys
+                .label(run_faulty(1_000, period(64)))
+                .expect_err("still failing");
+            assert_eq!(
+                err,
+                "SILO: invariant violation after 1024 refs: injected fault at access 1024"
+            );
+        }
         // A clean checked run through `SystemSpec::run` is bit-identical
         // to the plain one.
-        let checked = run_named("SILO", &cfg, &spec, 1, RunMode::Checked(every))
+        let checked = run_named("SILO", &cfg, &spec, 1, period(64))
             .expect("builtin engines hold their invariants");
-        assert_eq!(checked.stats, plain.stats);
+        assert_eq!(checked.stats, plain);
     }
 
     /// Runs the registry system `name` over `source` under `schedule`.
@@ -1612,18 +1675,17 @@ mod tests {
         meter: &MeterConfig,
         source: &mut dyn TraceSource,
         schedule: Schedule,
-    ) -> RunOutput {
+    ) -> Result<RunOutput, String> {
         let mut inst = SystemRegistry::builtin()
             .get(name)
             .expect("builtin")
             .instantiate(cfg);
-        schedule
-            .run(&mut inst.engine, &mut inst.timing, cfg, "w", source, meter)
-            .expect("plain runs cannot fail")
+        schedule.run(&mut inst.engine, &mut inst.timing, cfg, "w", source, meter)
     }
 
-    /// Asserts that both schedules produce the same statistics and
-    /// telemetry for `name` over the stream `source` builds afresh.
+    /// Asserts that both executors, in every mode, produce the plain
+    /// inline run's statistics and telemetry for `name` over the stream
+    /// `source` builds afresh, with a profile exactly when profiled.
     fn assert_schedules_agree<'t>(
         name: &str,
         cfg: &SystemConfig,
@@ -1631,20 +1693,34 @@ mod tests {
         source: impl Fn() -> Box<dyn TraceSource + 't>,
         what: &str,
     ) {
-        let seq = run_scheduled(
-            name,
-            cfg,
-            meter,
-            &mut *source(),
-            Schedule::Sequential(RunMode::Plain),
-        );
-        let pipe = run_scheduled(name, cfg, meter, &mut *source(), Schedule::Pipelined);
-        assert_eq!(seq.stats, pipe.stats, "{name} on {what}: stats differ");
-        assert_eq!(
-            seq.telemetry, pipe.telemetry,
-            "{name} on {what}: telemetry differs"
-        );
-        assert!(seq.profile.is_none() && pipe.profile.is_none());
+        let run = |mode, executor| {
+            run_scheduled(
+                name,
+                cfg,
+                meter,
+                &mut *source(),
+                Schedule { mode, executor },
+            )
+            .unwrap_or_else(|e| panic!("{name} on {what}, {mode:?}: {e}"))
+        };
+        let reference = run(RunMode::Plain, Executor::Inline);
+        let every = NonZeroU64::new(64).expect("nonzero");
+        for mode in [RunMode::Plain, RunMode::Checked(every), RunMode::Profiled] {
+            for executor in [Executor::Inline, Executor::Threaded] {
+                let out = run(mode, executor);
+                let at = format!("{name} on {what}, {mode:?} {executor:?}");
+                assert_eq!(out.stats, reference.stats, "{at}: stats differ");
+                assert_eq!(
+                    out.telemetry, reference.telemetry,
+                    "{at}: telemetry differs"
+                );
+                assert_eq!(
+                    out.profile.is_some(),
+                    mode == RunMode::Profiled,
+                    "{at}: profile"
+                );
+            }
+        }
     }
 
     #[test]
@@ -1752,20 +1828,20 @@ mod tests {
                 as Box<dyn TraceSource>
         };
         assert_schedules_agree("baseline", &cfg, &meter, replay, "trace replay");
+        let threaded = Schedule {
+            mode: RunMode::Plain,
+            executor: Executor::Threaded,
+        };
         let direct = run_scheduled(
             "baseline",
             &cfg,
             &meter,
             &mut SliceTrace::new(&traces),
-            Schedule::Pipelined,
-        );
-        let replayed = run_scheduled(
-            "baseline",
-            &cfg,
-            &meter,
-            &mut *replay(),
-            Schedule::Pipelined,
-        );
+            threaded,
+        )
+        .expect("plain runs cannot fail");
+        let replayed = run_scheduled("baseline", &cfg, &meter, &mut *replay(), threaded)
+            .expect("plain runs cannot fail");
         assert_eq!(
             direct.stats, replayed.stats,
             "replay differs from the direct run"
@@ -1773,22 +1849,21 @@ mod tests {
     }
 
     #[test]
-    fn only_plain_runs_on_a_multi_threaded_host_take_two_threads() {
-        let every = NonZeroU64::new(64).expect("nonzero");
-        for mode in [RunMode::Checked(every), RunMode::Profiled] {
-            assert_eq!(Schedule::of(mode), Schedule::Sequential(mode));
-        }
-        let plain = if host_threads() >= 2 {
-            Schedule::Pipelined
+    fn every_mode_takes_the_executor_the_host_allows() {
+        let executor = if host_threads() >= 2 {
+            Executor::Threaded
         } else {
-            Schedule::Sequential(RunMode::Plain)
+            Executor::Inline
         };
-        assert_eq!(Schedule::of(RunMode::Plain), plain);
+        let every = NonZeroU64::new(64).expect("nonzero");
+        for mode in [RunMode::Plain, RunMode::Checked(every), RunMode::Profiled] {
+            assert_eq!(Schedule::of(mode), Schedule { mode, executor });
+        }
     }
 
-    /// SILO under [`Schedule::Pipelined`], wrapped to panic in the engine
-    /// at access `panic_at`.
-    fn pipelined_faulty(panic_at: u64, timing: fn(&SystemConfig) -> TimingModel) {
+    /// SILO in plain mode under `executor`, wrapped to panic in the
+    /// engine at access `panic_at`.
+    fn faulty_run(executor: Executor, panic_at: u64, timing: fn(&SystemConfig) -> TimingModel) {
         let cfg = quick_cfg();
         let spec = quick_spec();
         let mut engine = Faulty {
@@ -1802,7 +1877,11 @@ mod tests {
             panic_at,
         };
         let mut source = spec.source(cfg.cores, cfg.scale, 1).expect("source");
-        let _ = Schedule::Pipelined.run(
+        let schedule = Schedule {
+            mode: RunMode::Plain,
+            executor,
+        };
+        let _ = schedule.run(
             &mut engine,
             &mut timing(&cfg),
             &cfg,
@@ -1815,7 +1894,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "injected engine panic at access 5000")]
     fn pipelined_engine_panics_resurface_on_the_caller() {
-        pipelined_faulty(5_000, TimingModel::silo);
+        faulty_run(Executor::Threaded, 5_000, TimingModel::silo);
+    }
+
+    #[test]
+    #[should_panic(expected = "injected engine panic at access 5000")]
+    fn inline_engine_panics_surface_on_the_caller() {
+        faulty_run(Executor::Inline, 5_000, TimingModel::silo);
     }
 
     #[test]
@@ -1824,6 +1909,6 @@ mod tests {
         // A SILO engine priced by the baseline's model: the first vault
         // step panics on the calling thread while the engine thread
         // still has batches to run.
-        pipelined_faulty(u64::MAX, TimingModel::baseline);
+        faulty_run(Executor::Threaded, u64::MAX, TimingModel::baseline);
     }
 }

@@ -13,25 +13,7 @@ use crate::config::SystemConfig;
 use silo_coherence::{Background, Step};
 use silo_dram::BankArray;
 use silo_noc::{Mesh, NodeId};
-use silo_obs::{Lap, LapProbe};
 use silo_types::{Cycles, LineAddr};
-
-/// Labels of the timing sub-phases [`TimingModel::charge_probed`] and
-/// the run loop's MSHR accounting attribute into, in bucket order.
-pub const TIMING_SUBPHASES: [&str; 3] = ["mesh", "bank", "mshr"];
-
-/// [`TIMING_SUBPHASES`] bucket: mesh sends and invalidation rounds.
-pub const TP_MESH: usize = 0;
-/// [`TIMING_SUBPHASES`] bucket: bank reservations (vault, LLC, memory,
-/// probes) and background reservations.
-pub const TP_BANK: usize = 1;
-/// [`TIMING_SUBPHASES`] bucket: the run loop's MSHR acquire/retire and
-/// completion bookkeeping around the charge.
-pub const TP_MSHR: usize = 2;
-
-/// The lap probe `charge_probed` attributes into — one bucket per
-/// [`TIMING_SUBPHASES`] entry.
-pub type TimingProbe = LapProbe<3>;
 
 /// The priced resources of one system (SILO or baseline).
 #[derive(Clone, Debug)]
@@ -131,40 +113,6 @@ impl TimingModel {
         }
         for bg in background {
             self.reserve_background(t, line, bg);
-        }
-        t
-    }
-
-    /// [`TimingModel::charge`] with sub-phase wall-clock attribution:
-    /// every step's pricing is lapped into the mesh or bank bucket of
-    /// `probe` as it completes, tiling the walk exactly. The caller owns
-    /// [`begin`](Lap::begin) and the MSHR bucket around the call.
-    /// Simulated results are bit-identical to [`TimingModel::charge`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if a step names a resource this system does not have (an
-    /// engine/model mismatch).
-    pub fn charge_probed(
-        &mut self,
-        now: Cycles,
-        line: LineAddr,
-        steps: &[Step],
-        background: &[Background],
-        probe: &mut TimingProbe,
-    ) -> Cycles {
-        let mut t = now;
-        for step in steps {
-            t = self.charge_step(t, line, step);
-            let bucket = match step {
-                Step::Net { .. } | Step::Invalidations { .. } => TP_MESH,
-                _ => TP_BANK,
-            };
-            probe.lap(bucket);
-        }
-        for bg in background {
-            self.reserve_background(t, line, bg);
-            probe.lap(TP_BANK);
         }
         t
     }
