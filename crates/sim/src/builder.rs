@@ -67,47 +67,12 @@ impl Simulation {
 
 /// Composable configuration for a [`Simulation`]; every setter is
 /// chainable and nothing is validated until [`SimulationBuilder::build`].
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct SimulationBuilder {
     config: SystemConfig,
     registry: SystemRegistry,
-    systems: Option<Vec<String>>,
-    workloads: Option<Vec<String>>,
+    settings: Scenario,
     workload_specs: Vec<WorkloadSpec>,
-    cores: Option<Vec<usize>>,
-    scales: Option<Vec<u64>>,
-    mlps: Option<Vec<usize>>,
-    vaults: Option<Vec<String>>,
-    seed: u64,
-    refs: Option<usize>,
-    threads: Option<usize>,
-    warmup: Option<u64>,
-    epoch: Option<u64>,
-    check: Option<u64>,
-    profile: bool,
-}
-
-impl Default for SimulationBuilder {
-    fn default() -> Self {
-        SimulationBuilder {
-            config: SystemConfig::paper_16core(),
-            registry: SystemRegistry::builtin(),
-            systems: None,
-            workloads: None,
-            workload_specs: Vec::new(),
-            cores: None,
-            scales: None,
-            mlps: None,
-            vaults: None,
-            seed: 42,
-            refs: None,
-            threads: None,
-            warmup: None,
-            epoch: None,
-            check: None,
-            profile: false,
-        }
-    }
 }
 
 impl SimulationBuilder {
@@ -137,7 +102,7 @@ impl SimulationBuilder {
         I: IntoIterator<Item = S>,
         S: Into<String>,
     {
-        self.systems = Some(names.into_iter().map(Into::into).collect());
+        self.settings.systems = Some(names.into_iter().map(Into::into).collect());
         self
     }
 
@@ -149,7 +114,7 @@ impl SimulationBuilder {
         I: IntoIterator<Item = S>,
         S: Into<String>,
     {
-        self.workloads = Some(specs.into_iter().map(Into::into).collect());
+        self.settings.workloads = Some(specs.into_iter().map(Into::into).collect());
         self
     }
 
@@ -162,19 +127,19 @@ impl SimulationBuilder {
 
     /// Sets the core-count axis (a single value for a flat run).
     pub fn cores(mut self, cores: impl IntoIterator<Item = usize>) -> Self {
-        self.cores = Some(cores.into_iter().collect());
+        self.settings.cores = Some(cores.into_iter().collect());
         self
     }
 
     /// Sets the capacity-scale axis.
     pub fn scales(mut self, scales: impl IntoIterator<Item = u64>) -> Self {
-        self.scales = Some(scales.into_iter().collect());
+        self.settings.scales = Some(scales.into_iter().collect());
         self
     }
 
     /// Sets the MSHR-count axis.
     pub fn mlps(mut self, mlps: impl IntoIterator<Item = usize>) -> Self {
-        self.mlps = Some(mlps.into_iter().collect());
+        self.settings.mlps = Some(mlps.into_iter().collect());
         self
     }
 
@@ -185,13 +150,13 @@ impl SimulationBuilder {
         I: IntoIterator<Item = S>,
         S: Into<String>,
     {
-        self.vaults = Some(names.into_iter().map(Into::into).collect());
+        self.settings.vaults = Some(names.into_iter().map(Into::into).collect());
         self
     }
 
     /// Sets the workload RNG seed (default 42).
     pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
+        self.settings.seed = Some(seed);
         self
     }
 
@@ -200,13 +165,13 @@ impl SimulationBuilder {
     /// `refs=` parameter in a custom spec wins, and specs added with
     /// [`SimulationBuilder::workload_spec`] keep their own count.
     pub fn refs_per_core(mut self, refs: usize) -> Self {
-        self.refs = Some(refs);
+        self.settings.refs = Some(refs);
         self
     }
 
     /// Sets the worker-thread count (default: host parallelism).
     pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads);
+        self.settings.threads = Some(threads);
         self
     }
 
@@ -215,7 +180,7 @@ impl SimulationBuilder {
     /// cache, directory, and bank-timing state. Zero (the default)
     /// disables warmup.
     pub fn warmup_refs(mut self, refs: u64) -> Self {
-        self.warmup = Some(refs);
+        self.settings.warmup = Some(refs);
         self
     }
 
@@ -223,7 +188,7 @@ impl SimulationBuilder {
     /// a timeline epoch (IPC, served-by-level counts, LLC latency
     /// percentiles, mesh link utilization, vault occupancy).
     pub fn epoch_refs(mut self, refs: u64) -> Self {
-        self.epoch = Some(refs);
+        self.settings.epoch = Some(refs);
         self
     }
 
@@ -234,7 +199,7 @@ impl SimulationBuilder {
     /// the run takes the same batch loop, and a checked run's results
     /// are bit-identical to an unchecked one's.
     pub fn check_every(mut self, refs: u64) -> Self {
-        self.check = Some(refs);
+        self.settings.check = Some(refs);
         self
     }
 
@@ -245,53 +210,16 @@ impl SimulationBuilder {
     /// Off by default; results are bit-identical either way. Mutually
     /// exclusive with [`SimulationBuilder::check_every`].
     pub fn profile(mut self, on: bool) -> Self {
-        self.profile = on;
+        self.settings.profile = Some(on);
         self
     }
 
-    /// Merges a parsed [`Scenario`] into the builder: every field the
-    /// scenario sets replaces the builder's current value, so apply the
-    /// scenario first and explicit overrides after.
+    /// Overlays a [`Scenario`] (a parsed scenario file, or settings
+    /// collected from flags): every setting it has replaces the
+    /// builder's, so apply the scenario first and explicit overrides
+    /// after.
     pub fn scenario(mut self, s: &Scenario) -> Self {
-        if let Some(v) = &s.systems {
-            self.systems = Some(v.clone());
-        }
-        if let Some(v) = &s.workloads {
-            self.workloads = Some(v.clone());
-        }
-        if let Some(v) = &s.cores {
-            self.cores = Some(v.clone());
-        }
-        if let Some(v) = &s.scales {
-            self.scales = Some(v.clone());
-        }
-        if let Some(v) = &s.mlps {
-            self.mlps = Some(v.clone());
-        }
-        if let Some(v) = &s.vaults {
-            self.vaults = Some(v.clone());
-        }
-        if let Some(v) = s.seed {
-            self.seed = v;
-        }
-        if let Some(v) = s.refs {
-            self.refs = Some(v);
-        }
-        if let Some(v) = s.threads {
-            self.threads = Some(v);
-        }
-        if let Some(v) = s.warmup {
-            self.warmup = Some(v);
-        }
-        if let Some(v) = s.epoch {
-            self.epoch = Some(v);
-        }
-        if let Some(v) = s.check {
-            self.check = Some(v);
-        }
-        if let Some(v) = s.profile {
-            self.profile = v;
-        }
+        self.settings.overlay(s);
         self
     }
 
@@ -305,7 +233,7 @@ impl SimulationBuilder {
     pub fn build(self) -> Result<Simulation, ConfigError> {
         let systems = self.resolve_systems()?;
         let cores = self.validated_axis(
-            self.cores.clone(),
+            self.settings.cores.clone(),
             self.config.cores,
             "cores",
             |&c| (1..=64).contains(&c),
@@ -313,39 +241,33 @@ impl SimulationBuilder {
         )?;
         let workloads = self.resolve_workloads(&cores)?;
         let scales = self.validated_axis(
-            self.scales.clone(),
+            self.settings.scales.clone(),
             self.config.scale,
             "scale",
             |&s| s >= 1,
             "must be at least 1",
         )?;
         let mlps = self.validated_axis(
-            self.mlps.clone(),
+            self.settings.mlps.clone(),
             self.config.mlp,
             "mlp",
             |&m| m >= 1,
             "must be at least 1",
         )?;
         let vaults = self.resolve_vaults()?;
-        if let Some(refs) = self.refs {
-            if refs == 0 {
+        for (what, value) in [
+            ("refs", self.settings.refs),
+            ("threads", self.settings.threads),
+        ] {
+            if value == Some(0) {
                 return Err(ConfigError::BadValue {
-                    what: "refs".into(),
+                    what: what.into(),
                     value: "0".into(),
                     reason: "must be at least 1".into(),
                 });
             }
         }
-        if let Some(threads) = self.threads {
-            if threads == 0 {
-                return Err(ConfigError::BadValue {
-                    what: "threads".into(),
-                    value: "0".into(),
-                    reason: "must be at least 1".into(),
-                });
-            }
-        }
-        if self.epoch == Some(0) {
+        if self.settings.epoch == Some(0) {
             return Err(ConfigError::BadValue {
                 what: "epoch".into(),
                 value: "0".into(),
@@ -353,6 +275,7 @@ impl SimulationBuilder {
             });
         }
         let check = self
+            .settings
             .check
             .map(|n| {
                 NonZeroU64::new(n).ok_or_else(|| ConfigError::BadValue {
@@ -362,7 +285,7 @@ impl SimulationBuilder {
                 })
             })
             .transpose()?;
-        let mode = match (check, self.profile) {
+        let mode = match (check, self.settings.profile.unwrap_or(false)) {
             (None, false) => RunMode::Plain,
             (None, true) => RunMode::Profiled,
             (Some(every), false) => RunMode::Checked(every),
@@ -381,7 +304,7 @@ impl SimulationBuilder {
         // reporting undefined IPC and speedups. Trace workloads were
         // already checked against their exact record counts during
         // resolution.
-        let warmup = self.warmup.unwrap_or(0);
+        let warmup = self.settings.warmup.unwrap_or(0);
         for w in workloads.iter().filter(|w| w.trace_file.is_none()) {
             for &c in &cores {
                 let total = (w.refs_per_core as u64).saturating_mul(c as u64);
@@ -408,19 +331,19 @@ impl SimulationBuilder {
                 mlps,
                 vaults,
                 workloads,
-                seed: self.seed,
+                seed: self.settings.seed.unwrap_or(42),
                 meter: MeterConfig {
-                    warmup_refs: self.warmup.unwrap_or(0),
-                    epoch_refs: self.epoch,
+                    warmup_refs: self.settings.warmup.unwrap_or(0),
+                    epoch_refs: self.settings.epoch,
                 },
                 mode,
             },
-            threads: self.threads,
+            threads: self.settings.threads,
         })
     }
 
     fn resolve_systems(&self) -> Result<Vec<SystemSpec>, ConfigError> {
-        let Some(names) = &self.systems else {
+        let Some(names) = &self.settings.systems else {
             return Ok(self.registry.classic_pair());
         };
         if names.is_empty() {
@@ -449,17 +372,20 @@ impl SimulationBuilder {
         // in a custom spec, and never touches specs added directly with
         // `workload_spec` (their struct already states a count) or
         // `trace:file=` replays (their length is the file's).
-        let mut out: Vec<WorkloadSpec> = match &self.workloads {
+        let mut out: Vec<WorkloadSpec> = match &self.settings.workloads {
             Some(raw) => {
                 let mut parsed = Vec::with_capacity(raw.len());
                 for spec in raw {
-                    parsed.push(WorkloadSpec::parse_with_default_refs(spec, self.refs)?);
+                    parsed.push(WorkloadSpec::parse_with_default_refs(
+                        spec,
+                        self.settings.refs,
+                    )?);
                 }
                 parsed
             }
             None if self.workload_specs.is_empty() => {
                 let mut all = WorkloadSpec::all();
-                if let Some(refs) = self.refs {
+                if let Some(refs) = self.settings.refs {
                     for w in &mut all {
                         w.refs_per_core = refs;
                     }
@@ -483,7 +409,7 @@ impl SimulationBuilder {
             }
         }
         for w in &mut out {
-            resolve_trace_workload(w, cores, self.warmup.unwrap_or(0))?;
+            resolve_trace_workload(w, cores, self.settings.warmup.unwrap_or(0))?;
         }
         if out.is_empty() {
             return Err(ConfigError::Empty("workloads"));
@@ -522,7 +448,7 @@ impl SimulationBuilder {
     }
 
     fn resolve_vaults(&self) -> Result<Vec<VaultDesign>, ConfigError> {
-        let Some(names) = &self.vaults else {
+        let Some(names) = &self.settings.vaults else {
             return Ok(vec![VaultDesign::Table2]);
         };
         if names.is_empty() {

@@ -8,11 +8,13 @@
 #![forbid(unsafe_code)]
 
 use silo_sim::bench::{self, BenchRecord, SweepSpec};
+use silo_sim::scenario::{list, scalar, Setting, SETTINGS};
 use silo_sim::{ConfigError, Scenario, Simulation, SystemRegistry, SystemSpec, WorkloadSpec};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-const USAGE: &str = "\
+/// `--help` up to the settings rows.
+const USAGE_HEAD: &str = "\
 silo-sim: N-way comparisons of SILO private die-stacked DRAM caches,
 the shared NUCA-LLC baseline, and registry-defined variants
 
@@ -97,104 +99,100 @@ USAGE:
                                  --json PATH (write silo-check/v1 JSON)
 
 OPTIONS:
-    --scenario FILE      load a declarative scenario file (key = value:
-                         systems, workloads, cores, scale, mlp, vault,
-                         seed, refs, threads, warmup, epoch, check,
-                         profile); flags override it
-    --systems a,b,c      systems to compare (default SILO,baseline;
-                         see --list-systems)
-    --cores N            cores / mesh nodes (default 16, max 64)
-    --refs N             references per core (default: per-workload preset)
-    --scale N            capacity scaling factor for caches AND working
-                         sets (default 64; 1 = full 256 MiB vaults)
-    --seed N             workload RNG seed (default 42)
-    --mlp N              MSHRs per core (default 8)
-    --workloads a,b,c    comma-separated workloads: presets, custom
-                         specs like zipf:theta=0.9,footprint=4x, or
-                         trace:file=PATH to replay a .silotrace capture
-    --record-traces DIR  capture every generated (workload, cores,
-                         scale) combination of this run to
-                         DIR/<name>-c<cores>-s<scale>.silotrace before
-                         running; replay later with trace:file=PATH
-    --vault-design KIND  derive the vault from the silo-dram sweep:
-                         'latency' (256 MiB-class), 'capacity'
-                         (512 MiB-class), or 'table2' (the Table II
-                         constants, default)
-    --warmup N           telemetry: treat the first N references (summed
-                         across cores) as cache warmup — measurement
-                         counters reset, simulated state is kept (0 = off)
-    --epoch N            telemetry: record a timeline epoch every N
-                         references (IPC, served levels, LLC latency
-                         percentiles, link utilization, vault occupancy)
-    --timeline PATH      write the per-epoch timeline CSV (needs --epoch
-                         or a scenario 'epoch =' key)
-    --check N            run-time invariant oracle: every N references,
-                         re-verify the engine's structural invariants
-                         (directory consistency, occupancy accounting)
-                         and the run loop's cross-layer assertions
-                         (MSHR bounds, counter monotonicity); results
-                         stay bit-identical to an unchecked run
-    --log FILE           append structured NDJSON event records (run
-                         start, sweep done, outputs written) to FILE
-    --profile            hot-loop self-profiler: time each stage of
-                         every run's batch loop (caller: pull / retire /
-                         wait; engine: execute / wait) with a few clock
-                         reads per batch, and print the phase tree and
-                         the stage that bounds the run; results stay
-                         bit-identical to an unprofiled run (mutually
-                         exclusive with --check)
-    --profile-json PATH  write the per-run phase profiles as
+    --scenario FILE      load a declarative scenario file: one
+                         'key = value' per line for the settings below,
+                         spelled without the dashes ('vault' for
+                         --vault-design); flags override it
+";
+
+/// `--help` after the settings rows, which [`usage`] renders from
+/// [`SETTINGS`].
+const USAGE_TAIL: &str = "    --profile-json PATH  write the per-run phase profiles as
                          silo-profile/v2 JSON (implies --profile)
     --profile-trace PATH write the merged phase profile as Chrome
                          trace-event JSON for Perfetto / chrome://tracing
                          (implies --profile)
+    --timeline PATH      write the per-epoch timeline CSV (needs --epoch
+                         or a scenario 'epoch =' key)
+    --record-traces DIR  capture every generated (workload, cores,
+                         scale) combination of this run to
+                         DIR/<name>-c<cores>-s<scale>.silotrace before
+                         running; replay later with trace:file=PATH
+    --log FILE           append structured NDJSON event records (run
+                         start, sweep done, outputs written) to FILE
+    --json PATH          write silo-bench/v1 JSON (works in both modes)
     --list-systems       list registered systems and exit
     --list-workloads     list workload presets and the custom-spec
                          grammar, then exit (alias: --list)
     --help               show this help
 
-SWEEP MODE (any --sweep* flag enables it):
-    --sweep              sweep the cartesian product of the dimensions
-                         below across worker threads
-    --sweep-cores LIST   core counts, e.g. 4,8,16 (default: --cores)
-    --sweep-scale LIST   scale factors, e.g. 32,64 (default: --scale)
-    --sweep-mlp LIST     MSHR counts, e.g. 4,8 (default: --mlp)
-    --sweep-vault LIST   vault designs from {table2,latency,capacity}
-                         (default: --vault-design)
-    --threads N          worker threads (default: available parallelism,
-                         at least 4)
-    --json PATH          write silo-bench/v1 JSON (works in both modes)
+A list-valued setting (--cores, --scale, --mlp, --vault-design) sweeps
+the cartesian product of its values across worker threads. When a
+setting is given twice, the later flag wins.
+
+SWEEP MODE (more than one value on an axis, or any --sweep* flag):
+    --sweep              print the sweep layout (one row per point and
+                         system) even for a single point
+    --sweep-cores LIST   same as --cores, and selects the sweep layout;
+                         likewise --sweep-scale, --sweep-mlp and
+                         --sweep-vault (for --vault-design)
 ";
 
-/// Everything the flag parser collects; `None` means "not given", so
-/// scenario-file settings survive unless explicitly overridden.
-#[derive(Default)]
+/// What the flags ask for: the run settings, collected into a
+/// [`Scenario`] that is overlaid on the scenario file's, and the
+/// CLI-only outputs and layout switch.
+#[derive(Debug, Default)]
 struct Cli {
     scenario: Option<PathBuf>,
-    systems: Option<Vec<String>>,
-    workloads: Option<Vec<String>>,
-    cores: Option<usize>,
-    refs: Option<usize>,
-    scale: Option<u64>,
-    seed: Option<u64>,
-    mlp: Option<usize>,
-    vault: Option<String>,
+    settings: Scenario,
     sweep: bool,
-    sweep_cores: Option<Vec<usize>>,
-    sweep_scales: Option<Vec<u64>>,
-    sweep_mlps: Option<Vec<usize>>,
-    sweep_vaults: Option<Vec<String>>,
-    threads: Option<usize>,
     json: Option<PathBuf>,
-    warmup: Option<u64>,
-    epoch: Option<u64>,
-    check: Option<u64>,
     log: Option<PathBuf>,
-    profile: bool,
     profile_json: Option<PathBuf>,
     profile_trace: Option<PathBuf>,
     timeline: Option<PathBuf>,
     record_traces: Option<PathBuf>,
+}
+
+/// The `--sweep-*` spellings of the axis settings; each also selects
+/// the sweep layout.
+const SWEEP_ALIASES: &[(&str, &str)] = &[
+    ("--sweep-cores", "cores"),
+    ("--sweep-scale", "scale"),
+    ("--sweep-mlp", "mlp"),
+    ("--sweep-vault", "vault"),
+];
+
+/// The flag of a setting: `--<key>`, but `--vault-design` for `vault`.
+fn flag_of(key: &str) -> String {
+    if key == "vault" {
+        "--vault-design".into()
+    } else {
+        format!("--{key}")
+    }
+}
+
+/// The setting a flag sets, and whether the flag selects the sweep
+/// layout too.
+fn setting_of(flag: &str) -> Option<(&'static Setting, bool)> {
+    if let Some(&(_, key)) = SWEEP_ALIASES.iter().find(|(f, _)| *f == flag) {
+        return SETTINGS.iter().find(|s| s.key == key).map(|s| (s, true));
+    }
+    SETTINGS
+        .iter()
+        .find(|s| flag_of(s.key) == flag)
+        .map(|s| (s, false))
+}
+
+/// `--help`, with one row per setting rendered from [`SETTINGS`].
+fn usage() -> String {
+    let mut out = String::from(USAGE_HEAD);
+    for s in SETTINGS {
+        let flag = format!("{} {}", flag_of(s.key), s.arg);
+        let help = s.help.replace('\n', &format!("\n{:25}", ""));
+        out += &format!("    {:<20} {help}\n", flag.trim_end());
+    }
+    out + USAGE_TAIL
 }
 
 fn bad(what: &str, value: impl Into<String>, reason: impl Into<String>) -> ConfigError {
@@ -205,135 +203,54 @@ fn bad(what: &str, value: impl Into<String>, reason: impl Into<String>) -> Confi
     }
 }
 
-fn parse_value<T: std::str::FromStr>(flag: &str, value: Option<String>) -> Result<T, ConfigError> {
-    let v = value.ok_or_else(|| bad(flag, "", "the flag needs a value"))?;
-    v.parse()
-        .map_err(|_| bad(flag, v.clone(), "not a valid value"))
-}
-
-/// Parses a comma-separated list, skipping empty segments (so `a,,b`
-/// and trailing commas are fine).
-fn parse_name_list(flag: &str, value: Option<String>) -> Result<Vec<String>, ConfigError> {
-    let raw: String = parse_value(flag, value)?;
-    let out: Vec<String> = raw
-        .split(',')
-        .map(str::trim)
-        .filter(|p| !p.is_empty())
-        .map(str::to_string)
-        .collect();
-    if out.is_empty() {
-        return Err(bad(flag, raw, "needs at least one value"));
-    }
-    Ok(out)
-}
-
-fn parse_num_list<T: std::str::FromStr>(
+/// Takes the value after `flag` and parses it with `parse`, one of the
+/// settings table's parsers.
+fn value_of<T>(
     flag: &str,
-    value: Option<String>,
-) -> Result<Vec<T>, ConfigError> {
-    let names = parse_name_list(flag, value)?;
-    names
-        .iter()
-        .map(|n| {
-            n.parse()
-                .map_err(|_| bad(flag, n.clone(), "not a valid number"))
-        })
-        .collect()
+    args: &mut impl Iterator<Item = String>,
+    parse: impl FnOnce(&str, &str) -> Result<T, String>,
+) -> Result<T, ConfigError> {
+    let value = args
+        .next()
+        .ok_or_else(|| bad(flag, "", "the flag needs a value"))?;
+    parse(flag, &value).map_err(|m| bad(flag, value, m))
 }
 
 /// Parses the argument vector. Returns `None` when a `--list*` / `--help`
-/// flag already handled the invocation.
-fn parse_args(args: impl Iterator<Item = String>) -> Result<Option<Cli>, ConfigError> {
+/// flag or a subcommand already handled the invocation.
+fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Option<Cli>, ConfigError> {
     let mut cli = Cli::default();
-    let mut args = args;
     let mut first = true;
     while let Some(arg) = args.next() {
         if std::mem::take(&mut first) {
-            if arg == "trace-info" {
-                let path: String = parse_value("trace-info", args.next())?;
-                print_trace_info(Path::new(&path))?;
-                return Ok(None);
-            }
-            if arg == "bench" {
-                run_bench(args)?;
-                return Ok(None);
-            }
-            if arg == "check" {
-                run_check(args)?;
-                return Ok(None);
-            }
-            if arg == "serve" {
-                run_serve(args)?;
-                return Ok(None);
-            }
-            if arg == "hash" {
-                run_hash(args)?;
-                return Ok(None);
+            match arg.as_str() {
+                "trace-info" => {
+                    let path = value_of("trace-info", &mut args, scalar::<PathBuf>)?;
+                    return print_trace_info(&path).map(|()| None);
+                }
+                "bench" => return run_bench(args).map(|()| None),
+                "check" => return run_check(args).map(|()| None),
+                "serve" => return run_serve(args).map(|()| None),
+                "hash" => return run_hash(args).map(|()| None),
+                _ => {}
             }
         }
         match arg.as_str() {
-            "--scenario" => {
-                let p: String = parse_value("--scenario", args.next())?;
-                cli.scenario = Some(PathBuf::from(p));
-            }
-            "--systems" => cli.systems = Some(parse_name_list("--systems", args.next())?),
-            "--workloads" => {
-                let raw: String = parse_value("--workloads", args.next())?;
-                cli.workloads = Some(WorkloadSpec::split_list(&raw)?);
-            }
-            "--cores" => cli.cores = Some(parse_value("--cores", args.next())?),
-            "--refs" => cli.refs = Some(parse_value("--refs", args.next())?),
-            "--scale" => cli.scale = Some(parse_value("--scale", args.next())?),
-            "--seed" => cli.seed = Some(parse_value("--seed", args.next())?),
-            "--mlp" => cli.mlp = Some(parse_value("--mlp", args.next())?),
-            "--vault-design" => cli.vault = Some(parse_value("--vault-design", args.next())?),
+            "--scenario" => cli.scenario = Some(value_of("--scenario", &mut args, scalar)?),
             "--sweep" => cli.sweep = true,
-            "--sweep-cores" => {
-                cli.sweep_cores = Some(parse_num_list("--sweep-cores", args.next())?);
-                cli.sweep = true;
-            }
-            "--sweep-scale" => {
-                cli.sweep_scales = Some(parse_num_list("--sweep-scale", args.next())?);
-                cli.sweep = true;
-            }
-            "--sweep-mlp" => {
-                cli.sweep_mlps = Some(parse_num_list("--sweep-mlp", args.next())?);
-                cli.sweep = true;
-            }
-            "--sweep-vault" => {
-                cli.sweep_vaults = Some(parse_name_list("--sweep-vault", args.next())?);
-                cli.sweep = true;
-            }
-            "--threads" => cli.threads = Some(parse_value("--threads", args.next())?),
-            "--json" => {
-                let p: String = parse_value("--json", args.next())?;
-                cli.json = Some(PathBuf::from(p));
-            }
-            "--warmup" => cli.warmup = Some(parse_value("--warmup", args.next())?),
-            "--epoch" => cli.epoch = Some(parse_value("--epoch", args.next())?),
-            "--check" => cli.check = Some(parse_value("--check", args.next())?),
-            "--log" => {
-                let p: String = parse_value("--log", args.next())?;
-                cli.log = Some(PathBuf::from(p));
-            }
-            "--profile" => cli.profile = true,
+            "--json" => cli.json = Some(value_of("--json", &mut args, scalar)?),
+            "--log" => cli.log = Some(value_of("--log", &mut args, scalar)?),
             "--profile-json" => {
-                let p: String = parse_value("--profile-json", args.next())?;
-                cli.profile_json = Some(PathBuf::from(p));
-                cli.profile = true;
+                cli.profile_json = Some(value_of("--profile-json", &mut args, scalar)?);
+                cli.settings.profile = Some(true);
             }
             "--profile-trace" => {
-                let p: String = parse_value("--profile-trace", args.next())?;
-                cli.profile_trace = Some(PathBuf::from(p));
-                cli.profile = true;
+                cli.profile_trace = Some(value_of("--profile-trace", &mut args, scalar)?);
+                cli.settings.profile = Some(true);
             }
-            "--timeline" => {
-                let p: String = parse_value("--timeline", args.next())?;
-                cli.timeline = Some(PathBuf::from(p));
-            }
+            "--timeline" => cli.timeline = Some(value_of("--timeline", &mut args, scalar)?),
             "--record-traces" => {
-                let p: String = parse_value("--record-traces", args.next())?;
-                cli.record_traces = Some(PathBuf::from(p));
+                cli.record_traces = Some(value_of("--record-traces", &mut args, scalar)?);
             }
             "--list-systems" => {
                 list_systems();
@@ -344,19 +261,31 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<Option<Cli>, ConfigE
                 return Ok(None);
             }
             "--help" | "-h" => {
-                println!("{USAGE}");
+                println!("{}", usage());
                 return Ok(None);
             }
             "--version" | "-V" => {
                 println!("silo-sim {}", silo_types::VERSION);
                 return Ok(None);
             }
-            other => {
-                return Err(bad(
-                    "argument",
-                    other,
-                    "unknown option (see silo-sim --help)",
-                ))
+            flag => {
+                let Some((setting, sweep)) = setting_of(flag) else {
+                    return Err(bad(
+                        "argument",
+                        flag,
+                        "unknown option (see silo-sim --help)",
+                    ));
+                };
+                let settings = &mut cli.settings;
+                if setting.arg.is_empty() {
+                    // The on/off setting is a bare switch on the CLI.
+                    settings
+                        .set(setting.key, "on")
+                        .map_err(|m| bad(flag, "on", m))?;
+                } else {
+                    value_of(flag, &mut args, |_, v| settings.set(setting.key, v))?;
+                }
+                cli.sweep |= sweep;
             }
         }
     }
@@ -448,25 +377,19 @@ fn run_bench(mut args: impl Iterator<Item = String>) -> Result<(), ConfigError> 
     let mut gate_json_out: Option<PathBuf> = None;
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--refs" => refs = parse_value("--refs", args.next())?,
-            "--threads" => threads = parse_value("--threads", args.next())?,
-            "--label" => label = Some(parse_value("--label", args.next())?),
-            "--json" => json = Some(PathBuf::from(parse_value::<String>("--json", args.next())?)),
+            "--refs" => refs = value_of("--refs", &mut args, scalar)?,
+            "--threads" => threads = value_of("--threads", &mut args, scalar)?,
+            "--label" => label = Some(value_of("--label", &mut args, scalar)?),
+            "--json" => json = Some(value_of("--json", &mut args, scalar)?),
             "--compare" => {
-                compare = Some(PathBuf::from(parse_value::<String>(
-                    "--compare",
-                    args.next(),
-                )?));
+                compare = Some(value_of("--compare", &mut args, scalar)?);
             }
             "--gate" => {
-                gate_base = Some(PathBuf::from(parse_value::<String>("--gate", args.next())?));
+                gate_base = Some(value_of("--gate", &mut args, scalar)?);
             }
-            "--gate-reps" => gate_reps = parse_value("--gate-reps", args.next())?,
+            "--gate-reps" => gate_reps = value_of("--gate-reps", &mut args, scalar)?,
             "--gate-json" => {
-                gate_json_out = Some(PathBuf::from(parse_value::<String>(
-                    "--gate-json",
-                    args.next(),
-                )?));
+                gate_json_out = Some(value_of("--gate-json", &mut args, scalar)?);
             }
             other => return Err(bad("bench argument", other, "unknown option")),
         }
@@ -614,26 +537,20 @@ fn run_serve(mut args: impl Iterator<Item = String>) -> Result<(), ConfigError> 
     let mut cfg = silo_serve::ServeConfig::default();
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--addr" => cfg.addr = parse_value("--addr", args.next())?,
-            "--workers" => cfg.workers = parse_value("--workers", args.next())?,
-            "--queue" => cfg.queue_capacity = parse_value("--queue", args.next())?,
-            "--quota" => cfg.client_quota = parse_value("--quota", args.next())?,
+            "--addr" => cfg.addr = value_of("--addr", &mut args, scalar)?,
+            "--workers" => cfg.workers = value_of("--workers", &mut args, scalar)?,
+            "--queue" => cfg.queue_capacity = value_of("--queue", &mut args, scalar)?,
+            "--quota" => cfg.client_quota = value_of("--quota", &mut args, scalar)?,
             "--cache" => {
-                cfg.cache_dir = PathBuf::from(parse_value::<String>("--cache", args.next())?);
+                cfg.cache_dir = value_of("--cache", &mut args, scalar)?;
             }
-            "--cache-cap" => cfg.cache_cap = parse_value("--cache-cap", args.next())?,
+            "--cache-cap" => cfg.cache_cap = value_of("--cache-cap", &mut args, scalar)?,
             "--resume" => cfg.resume = true,
             "--trace-out" => {
-                cfg.trace_out = Some(PathBuf::from(parse_value::<String>(
-                    "--trace-out",
-                    args.next(),
-                )?));
+                cfg.trace_out = Some(value_of("--trace-out", &mut args, scalar)?);
             }
             "--log-out" => {
-                cfg.log_out = Some(PathBuf::from(parse_value::<String>(
-                    "--log-out",
-                    args.next(),
-                )?));
+                cfg.log_out = Some(value_of("--log-out", &mut args, scalar)?);
             }
             other => return Err(bad("serve argument", other, "unknown option")),
         }
@@ -738,10 +655,10 @@ fn run_check(mut args: impl Iterator<Item = String>) -> Result<(), ConfigError> 
     let mut json: Option<PathBuf> = None;
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--systems" => systems = parse_name_list("--systems", args.next())?,
-            "--nodes" => params.nodes = parse_value("--nodes", args.next())?,
-            "--max-states" => params.max_states = parse_value("--max-states", args.next())?,
-            "--json" => json = Some(PathBuf::from(parse_value::<String>("--json", args.next())?)),
+            "--systems" => systems = value_of("--systems", &mut args, list)?,
+            "--nodes" => params.nodes = value_of("--nodes", &mut args, scalar)?,
+            "--max-states" => params.max_states = value_of("--max-states", &mut args, scalar)?,
+            "--json" => json = Some(value_of("--json", &mut args, scalar)?),
             other => return Err(bad("check argument", other, "unknown option")),
         }
     }
@@ -929,71 +846,24 @@ fn check_json(
     ])
 }
 
-/// Assembles the builder from scenario + flags (flags win) and builds.
+/// Builds the run: the flags' settings overlaid on the scenario file's.
 fn build_simulation(cli: &Cli) -> Result<Simulation, ConfigError> {
-    let mut b = Simulation::builder();
-    if let Some(path) = &cli.scenario {
-        b = b.scenario(&Scenario::load(path)?);
-    }
-    if let Some(systems) = &cli.systems {
-        b = b.systems(systems.clone());
-    }
-    if let Some(workloads) = &cli.workloads {
-        b = b.workloads(workloads.clone());
-    }
-    // Sweep lists win over their single-value counterparts.
-    if let Some(cores) = &cli.sweep_cores {
-        b = b.cores(cores.iter().copied());
-    } else if let Some(cores) = cli.cores {
-        b = b.cores([cores]);
-    }
-    if let Some(scales) = &cli.sweep_scales {
-        b = b.scales(scales.iter().copied());
-    } else if let Some(scale) = cli.scale {
-        b = b.scales([scale]);
-    }
-    if let Some(mlps) = &cli.sweep_mlps {
-        b = b.mlps(mlps.iter().copied());
-    } else if let Some(mlp) = cli.mlp {
-        b = b.mlps([mlp]);
-    }
-    if let Some(vaults) = &cli.sweep_vaults {
-        b = b.vault_designs(vaults.clone());
-    } else if let Some(vault) = &cli.vault {
-        b = b.vault_designs([vault.clone()]);
-    }
-    if let Some(seed) = cli.seed {
-        b = b.seed(seed);
-    }
-    if let Some(refs) = cli.refs {
-        b = b.refs_per_core(refs);
-    }
-    if let Some(threads) = cli.threads {
-        b = b.threads(threads);
-    }
-    if let Some(warmup) = cli.warmup {
-        b = b.warmup_refs(warmup);
-    }
-    if let Some(epoch) = cli.epoch {
-        b = b.epoch_refs(epoch);
-    }
-    if let Some(check) = cli.check {
-        b = b.check_every(check);
-    }
-    if cli.profile {
-        b = b.profile(true);
-    }
-    let sim = b.build()?;
-    if cli.timeline.is_some() && sim.spec().meter.epoch_refs.is_none() {
-        return Err(ConfigError::BadValue {
-            what: "--timeline".into(),
-            value: cli
-                .timeline
-                .as_ref()
-                .map(|p| p.display().to_string())
-                .unwrap_or_default(),
-            reason: "needs --epoch (or a scenario 'epoch =' key) to sample epochs".into(),
-        });
+    let file = match &cli.scenario {
+        Some(path) => Scenario::load(path)?,
+        None => Scenario::default(),
+    };
+    let sim = Simulation::builder()
+        .scenario(&file)
+        .scenario(&cli.settings)
+        .build()?;
+    if let Some(path) = &cli.timeline {
+        if sim.spec().meter.epoch_refs.is_none() {
+            return Err(bad(
+                "--timeline",
+                path.display().to_string(),
+                "needs --epoch (or a scenario 'epoch =' key) to sample epochs",
+            ));
+        }
     }
     Ok(sim)
 }
@@ -1094,7 +964,7 @@ fn main() {
             }
         }
     }
-    if cli.profile {
+    if cli.settings.profile == Some(true) {
         print_profile(&records);
     }
     if let Some(path) = &cli.profile_json {
@@ -1287,5 +1157,217 @@ fn print_sweep_geomeans(spec: &SweepSpec, records: &[BenchRecord]) {
                 silo_types::geomean(&speedups)
             );
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Cli, ConfigError> {
+        parse_args(args.iter().map(|a| (*a).to_string())).map(|cli| cli.expect("a run"))
+    }
+
+    fn cli(args: &[&str]) -> Cli {
+        parse(args).expect("valid flags")
+    }
+
+    fn sweep_hash(sim: &Simulation) -> String {
+        let keys = silo_sim::canon::point_keys(sim.spec()).expect("hashable");
+        silo_sim::canon::sweep_hash_of_keys(&keys)
+    }
+
+    fn hash_of_flags(args: &[&str]) -> String {
+        sweep_hash(&build_simulation(&cli(args)).expect("flags build"))
+    }
+
+    fn hash_of_scenario(text: &str) -> String {
+        let s = Scenario::parse(text).expect("scenario parses");
+        sweep_hash(&Simulation::builder().scenario(&s).build().expect("builds"))
+    }
+
+    #[test]
+    fn every_setting_has_a_flag_and_every_help_flag_is_known() {
+        for s in SETTINGS {
+            let (found, sweep) = setting_of(&flag_of(s.key)).expect(s.key);
+            assert_eq!((found.key, sweep), (s.key, false));
+        }
+        let cli_only = [
+            "--scenario",
+            "--profile-json",
+            "--profile-trace",
+            "--timeline",
+            "--record-traces",
+            "--log",
+            "--json",
+            "--list-systems",
+            "--list-workloads",
+            "--help",
+            "--sweep",
+        ];
+        let help = usage();
+        let options = &help[help.find("OPTIONS:").expect("options section")..];
+        for line in options.lines().filter(|l| l.starts_with("    --")) {
+            let flag = line.split_whitespace().next().expect("a flag");
+            assert!(
+                cli_only.contains(&flag) || setting_of(flag).is_some(),
+                "{flag} sets no setting"
+            );
+        }
+    }
+
+    #[test]
+    fn every_alias_lands_on_its_key() {
+        for (flag, key, value) in [
+            ("--vault-design", "vault", "latency"),
+            ("--sweep-cores", "cores", "4,8"),
+            ("--sweep-scale", "scale", "32,64"),
+            ("--sweep-mlp", "mlp", "4,8"),
+            ("--sweep-vault", "vault", "table2,latency"),
+        ] {
+            let (setting, sweep) = setting_of(flag).expect(flag);
+            assert_eq!(setting.key, key, "{flag}");
+            assert_eq!(sweep, flag.starts_with("--sweep-"), "{flag}");
+            let mut want = Scenario::default();
+            want.set(key, value).expect("valid value");
+            let got = cli(&[flag, value]);
+            assert_eq!(got.settings, want, "{flag}");
+            assert_eq!(got.sweep, sweep, "{flag}");
+        }
+        assert_eq!(cli(&["--profile"]).settings.profile, Some(true));
+    }
+
+    #[test]
+    fn the_later_of_two_flags_wins() {
+        let c = cli(&["--sweep-cores", "4,8", "--cores", "16"]);
+        assert_eq!(c.settings.cores.as_deref(), Some(&[16usize][..]));
+        let c = cli(&["--cores", "16", "--sweep-cores", "4,8"]);
+        assert_eq!(c.settings.cores.as_deref(), Some(&[4usize, 8][..]));
+        let c = cli(&["--seed", "1", "--seed", "2"]);
+        assert_eq!(c.settings.seed, Some(2));
+    }
+
+    #[test]
+    fn profile_outputs_imply_profile() {
+        for flag in ["--profile-json", "--profile-trace"] {
+            let c = cli(&[flag, "out.json"]);
+            assert_eq!(c.settings.profile, Some(true), "{flag}");
+        }
+        assert_eq!(cli(&["--json", "out.json"]).settings.profile, None);
+    }
+
+    #[test]
+    fn bad_values_name_the_flag_and_the_value() {
+        for (args, flag, value) in [
+            (&["--cores", "4,twelve"][..], "--cores", "4,twelve"),
+            (&["--sweep-mlp", "x"][..], "--sweep-mlp", "x"),
+            (&["--seed", "-1"][..], "--seed", "-1"),
+            (
+                &["--workloads", "zipf:bogus=1"][..],
+                "--workloads",
+                "zipf:bogus=1",
+            ),
+        ] {
+            let msg = parse(args).expect_err(flag).to_string();
+            assert!(
+                msg.contains(flag) && msg.contains(&format!("'{value}'")),
+                "{args:?}: {msg}"
+            );
+        }
+        let msg = parse(&["--cores"]).expect_err("no value").to_string();
+        assert!(
+            msg.contains("--cores") && msg.contains("needs a value"),
+            "{msg}"
+        );
+    }
+
+    #[test]
+    fn a_workload_line_before_the_list_lands_after_it() {
+        let path = std::env::temp_dir().join(format!("silo-cli-{}.scenario", std::process::id()));
+        std::fs::write(
+            &path,
+            "workload = code-heavy\nworkloads = zipf-shared\ncores = 2\n",
+        )
+        .expect("write scenario");
+        let mut c = cli(&["--refs", "100"]);
+        c.scenario = Some(path.clone());
+        let sim = build_simulation(&c);
+        std::fs::remove_file(&path).expect("remove scenario");
+        let names: Vec<String> = sim
+            .expect("builds")
+            .spec()
+            .workloads
+            .iter()
+            .map(|w| w.name.clone())
+            .collect();
+        assert_eq!(names, ["zipf-shared", "code-heavy"]);
+    }
+
+    #[test]
+    fn ci_sweep_hashes_the_same_as_flags_aliases_and_scenario() {
+        let old = hash_of_flags(&[
+            "--sweep",
+            "--sweep-cores",
+            "4,8,16",
+            "--sweep-mlp",
+            "4,8",
+            "--workloads",
+            "uniform-private,zipf-shared,producer-consumer",
+            "--refs",
+            "4000",
+            "--threads",
+            "4",
+        ]);
+        let lists = hash_of_flags(&[
+            "--cores",
+            "4,8,16",
+            "--mlp",
+            "4,8",
+            "--workloads",
+            "uniform-private,zipf-shared,producer-consumer",
+            "--refs",
+            "4000",
+            "--threads",
+            "4",
+        ]);
+        let file = hash_of_scenario(
+            "cores = 4, 8, 16\nmlp = 4, 8\n\
+             workloads = uniform-private, zipf-shared, producer-consumer\n\
+             refs = 4000\nthreads = 4\n",
+        );
+        assert_eq!(old, lists);
+        assert_eq!(old, file);
+    }
+
+    #[test]
+    fn paper_fig11_hashes_the_same_as_its_flag_form() {
+        let path =
+            Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/paper_fig11.scenario");
+        let text = std::fs::read_to_string(path).expect("example scenario");
+        let flags = hash_of_flags(&[
+            "--systems",
+            "SILO,baseline,silo-no-forward,baseline-2x",
+            "--workloads",
+            "uniform-private,producer-consumer,zipf:theta=0.9,footprint=4x",
+            "--cores",
+            "16",
+            "--scale",
+            "64",
+            "--mlp",
+            "8",
+            "--vault-design",
+            "table2",
+            "--seed",
+            "42",
+            "--refs",
+            "4000",
+            "--threads",
+            "4",
+            "--warmup",
+            "6400",
+            "--epoch",
+            "16000",
+        ]);
+        assert_eq!(flags, hash_of_scenario(&text));
     }
 }
