@@ -20,7 +20,7 @@ use std::collections::{BinaryHeap, HashMap};
 use std::io::{self, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -266,11 +266,6 @@ struct Shared<E: JobEngine> {
     /// Signals result/stream waiters that rows landed.
     row_cv: Condvar,
     shutdown: AtomicBool,
-    /// Points actually computed by `run_point` (not cache hits) —
-    /// the counter the zero-recompute acceptance test watches.
-    computed: AtomicU64,
-    /// Points satisfied from the cache or by inflight sharing.
-    cache_hits: AtomicU64,
     /// Metric handles behind `GET /metrics`.
     metrics: Metrics,
     /// Request/job lifecycle spans behind `GET /trace` / `--trace-out`.
@@ -305,12 +300,12 @@ impl<E: JobEngine> ServerHandle<E> {
 
     /// Sweep points computed (cache misses run to completion).
     pub fn points_computed(&self) -> u64 {
-        self.shared.computed.load(Ordering::Relaxed)
+        self.shared.metrics.cache_misses.get()
     }
 
     /// Sweep points served from the cache or shared inflight work.
     pub fn points_cached(&self) -> u64 {
-        self.shared.cache_hits.load(Ordering::Relaxed)
+        self.shared.metrics.cache_hits.get()
     }
 
     /// Initiates graceful shutdown: running points finish and persist,
@@ -378,8 +373,6 @@ pub fn start<E: JobEngine>(engine: E, cfg: ServeConfig) -> io::Result<ServerHand
         work_cv: Condvar::new(),
         row_cv: Condvar::new(),
         shutdown: AtomicBool::new(false),
-        computed: AtomicU64::new(0),
-        cache_hits: AtomicU64::new(0),
         metrics: Metrics::new(),
         spans: SpanRecorder::new(cfg.trace_capacity.max(1)),
         log,
@@ -530,9 +523,6 @@ fn submit<E: JobEngine>(
     let id = st.next_job;
     st.next_job += 1;
     let cached = points - misses.len();
-    shared
-        .cache_hits
-        .fetch_add(cached as u64, Ordering::Relaxed);
     shared.metrics.cache_hits.add(cached as u64);
 
     if misses.is_empty() {
@@ -593,7 +583,6 @@ fn submit<E: JobEngine>(
             Some(subs) => {
                 // Another job is already computing this point; ride it.
                 subs.push((id, i));
-                shared.cache_hits.fetch_add(1, Ordering::Relaxed);
                 shared.metrics.cache_hits.inc();
             }
             None => {
@@ -759,7 +748,6 @@ fn worker_loop<E: JobEngine>(shared: &Shared<E>) {
         // (another worker, or a prior run sharing the cache directory)
         // since this point was queued.
         if let Some(row) = shared.cache.get(&task.key) {
-            shared.cache_hits.fetch_add(1, Ordering::Relaxed);
             shared.metrics.cache_hits.inc();
             let events = shared.cache.get_events(&task.key).unwrap_or_default();
             spans.record_with_id(
@@ -817,7 +805,6 @@ fn worker_loop<E: JobEngine>(shared: &Shared<E>) {
             ),
         }
         if let Ok(out) = &result {
-            shared.computed.fetch_add(1, Ordering::Relaxed);
             shared.metrics.cache_misses.inc();
             let t_write = spans.now_us();
             let evicted_before = shared.cache.evictions();
@@ -1140,8 +1127,8 @@ fn handle_status<E: JobEngine>(
          \"points\":{{\"queued\":{queued},\"computed\":{},\"cached\":{}}},\
          \"cache\":{{\"rows\":{}}},\"workers\":{}}}\n",
         silo_types::VERSION,
-        shared.computed.load(Ordering::Relaxed),
-        shared.cache_hits.load(Ordering::Relaxed),
+        shared.metrics.cache_misses.get(),
+        shared.metrics.cache_hits.get(),
         shared.cache.len(),
         shared.cfg.workers,
     );

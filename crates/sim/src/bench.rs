@@ -6,10 +6,13 @@
 //! deterministic and fully independent (each builds its own engines,
 //! timing model, and traces — see `silo_types::stats`), so [`run_sweep`]
 //! fans them out across OS threads with `std::thread::scope` and still
-//! returns results in point order, bit-identical to
-//! [`run_sweep_sequential`].
+//! returns results in point order, bit-identical to a one-worker run.
+//! It is the one sweep runner, for the CLI and the hot-loop bench
+//! ([`throughput`]) alike; the serve daemon runs the same [`run_point`]
+//! one point at a time.
 //!
-//! [`sweep_json`] renders the records into the machine-readable
+//! [`record_json`] renders one record as a point object, and
+//! [`sweep_json`] wraps the point objects into the machine-readable
 //! `silo-bench/v1` schema via the dependency-free [`crate::json`]
 //! writer, capturing IPC, speedup, served-level fractions, LLC latency
 //! percentiles, and per-run wall-clock. When the classic SILO/baseline
@@ -323,23 +326,16 @@ pub fn record_traces(
     Ok(written)
 }
 
-/// Runs every point on the calling thread, in point order.
-pub fn run_sweep_sequential(spec: &SweepSpec) -> Vec<BenchRecord> {
-    spec.points().iter().map(|p| run_point(spec, p)).collect()
-}
-
 /// Fans the points out across up to `threads` OS threads (work-stealing
-/// off a shared index) and returns the records in point order. Simulated
-/// results are bit-identical to [`run_sweep_sequential`]; only the
-/// wall-clock fields depend on the host.
+/// off a shared index) and returns the records in point order. One
+/// worker runs every point on the calling thread; simulated results are
+/// bit-identical at any thread count, and only the wall-clock fields
+/// depend on the host.
 pub fn run_sweep(spec: &SweepSpec, threads: usize) -> Vec<BenchRecord> {
     let points = spec.points();
-    if points.is_empty() {
-        return Vec::new();
-    }
-    let workers = threads.clamp(1, points.len());
+    let workers = threads.clamp(1, points.len().max(1));
     if workers == 1 {
-        return run_sweep_sequential(spec);
+        return points.iter().map(|p| run_point(spec, p)).collect();
     }
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<BenchRecord>>> =
@@ -479,49 +475,53 @@ pub fn record_json(r: &BenchRecord) -> Json {
 
 /// Renders a full sweep into the `silo-bench/v1` document.
 pub fn sweep_json(records: &[BenchRecord], seed: u64) -> Json {
-    let speedups: Vec<f64> = records.iter().filter_map(BenchRecord::speedup).collect();
+    document(records.iter().map(record_json).collect(), seed)
+}
+
+/// Wraps rendered point objects ([`record_json`] rows, fresh or parsed
+/// back from the serve cache) into the `silo-bench/v1` document. This is
+/// the one place the layout lives: the geomean speedup, the system names
+/// and the meter echo are all derived from the points, so a document
+/// rebuilt from cached rows is byte-identical to a direct run's (the
+/// JSON layer round-trips numbers exactly).
+pub(crate) fn document(points: Vec<Json>, seed: u64) -> Json {
+    let speedups: Vec<f64> = points
+        .iter()
+        .filter_map(|p| p.get("speedup").and_then(Json::as_f64))
+        .collect();
     let geomean = if speedups.is_empty() {
         Json::Null
     } else {
         Json::Num(silo_types::geomean(&speedups))
     };
-    let system_names: Vec<Json> = records
-        .first()
-        .map(|r| {
-            r.runs
-                .iter()
-                .map(|run| Json::Str(run.stats.system.clone()))
-                .collect()
-        })
-        .unwrap_or_default();
-    // The meter is uniform across the sweep; report it once at the top
-    // (derived from the records so the schema function stays pure).
-    let meter = records
-        .first()
-        .and_then(|r| r.runs.first())
-        .map(|run| run.telemetry.meter)
-        .unwrap_or_default();
+    let first = points.first();
+    let system_names: Vec<Json> = first
+        .and_then(|p| p.get("systems"))
+        .and_then(Json::as_arr)
+        .unwrap_or_default()
+        .iter()
+        .filter_map(|s| s.get("system").cloned())
+        .collect();
+    // The meter is uniform across the sweep; echo the first run's once
+    // at the top.
+    let meter = first
+        .and_then(|p| p.get("telemetry"))
+        .and_then(Json::as_arr)
+        .and_then(<[Json]>::first);
+    let echo = |key, absent| meter.and_then(|t| t.get(key)).cloned().unwrap_or(absent);
     Json::Obj(vec![
         ("schema".into(), Json::Str(SCHEMA.into())),
-        ("seed".into(), Json::Int(seed as i128)),
+        ("seed".into(), Json::Int(seed.into())),
         (
             "telemetry".into(),
             Json::Obj(vec![
-                ("warmup_refs".into(), Json::Int(meter.warmup_refs as i128)),
-                (
-                    "epoch_refs".into(),
-                    meter
-                        .epoch_refs
-                        .map_or(Json::Null, |e| Json::Int(e as i128)),
-                ),
+                ("warmup_refs".into(), echo("warmup_refs", Json::Int(0))),
+                ("epoch_refs".into(), echo("epoch_refs", Json::Null)),
             ]),
         ),
         ("systems".into(), Json::Arr(system_names)),
         ("geomean_speedup".into(), geomean),
-        (
-            "points".into(),
-            Json::Arr(records.iter().map(record_json).collect()),
-        ),
+        ("points".into(), Json::Arr(points)),
     ])
 }
 
@@ -653,8 +653,8 @@ mod tests {
             mode: RunMode::Profiled,
             ..spec.clone()
         };
-        let plain = run_sweep_sequential(&spec);
-        let prof = run_sweep_sequential(&profiled);
+        let plain = run_sweep(&spec, 1);
+        let prof = run_sweep(&profiled, 1);
         // Simulated results are bit-identical; only the profile rides
         // along — so the silo-bench/v1 documents match byte-for-byte,
         // wall_ms aside (compare the host-independent stats directly).
@@ -752,7 +752,7 @@ mod tests {
     #[test]
     fn sweep_records_carry_every_system() {
         let spec = tiny_spec();
-        let records = run_sweep_sequential(&spec);
+        let records = run_sweep(&spec, 1);
         assert_eq!(records.len(), 2);
         for r in &records {
             assert_eq!(r.runs.len(), 2);
@@ -774,7 +774,7 @@ mod tests {
             reg.get("baseline").expect("builtin").clone(),
             reg.get("baseline-2x").expect("builtin").clone(),
         ];
-        let records = run_sweep_sequential(&spec);
+        let records = run_sweep(&spec, 1);
         assert_eq!(records[0].runs.len(), 2);
         assert!(records[0].speedup().is_none(), "no SILO in this selection");
         assert!(records[0]
@@ -788,7 +788,7 @@ mod tests {
     #[test]
     fn sweep_json_has_schema_and_points() {
         let spec = tiny_spec();
-        let records = run_sweep_sequential(&spec);
+        let records = run_sweep(&spec, 1);
         let doc = sweep_json(&records, spec.seed);
         assert_eq!(doc.get("schema").and_then(Json::as_str), Some(SCHEMA));
         assert_eq!(doc.get("seed").and_then(Json::as_i64), Some(5));
@@ -817,7 +817,7 @@ mod tests {
             warmup_refs: 100,
             epoch_refs: Some(200),
         };
-        let records = run_sweep_sequential(&spec);
+        let records = run_sweep(&spec, 1);
         let doc = sweep_json(&records, spec.seed);
         // Top-level meter echo.
         let top = doc.get("telemetry").expect("top-level telemetry");

@@ -13,13 +13,15 @@
 //! granularity.
 //!
 //! Everything downstream of the timed runs is a pure function of the
-//! collected numbers ([`evaluate`]), so the classification logic is
-//! unit-tested with synthetic repetitions: an injected slowdown must be
-//! flagged `regress`, and a self-comparison (A/A) must come back
-//! `pass`. The verdict renders as a table and as the machine-readable
-//! `silo-gate/v1` document ([`gate_json`]).
+//! collected snapshots ([`evaluate`]): each repetition is rendered as a
+//! `silo-hotloop/v1` snapshot, the same shape as the baseline, so the
+//! classification logic is unit-tested with synthetic snapshots: an
+//! injected slowdown must be flagged `regress`, and a self-comparison
+//! (A/A) must come back `pass`. One repetition is the quick look: it
+//! prints each row's ratio against the baseline. The verdict renders as
+//! a table and as the machine-readable `silo-gate/v1` document
+//! ([`gate_json`]).
 
-use crate::bench::throughput::{ThroughputRow, ThroughputSpec};
 use crate::json::Json;
 
 /// Version tag of the gate-verdict schema (`bench --gate-json`).
@@ -128,19 +130,41 @@ fn median(values: &mut [f64]) -> f64 {
 }
 
 /// The last snapshot in a `silo-hotloop/v1` snapshot list whose matrix
-/// dimensions (cores, refs_per_core, seed) match `spec` — the most
-/// recent comparable measurement in a trajectory file.
-pub fn select_snapshot<'a>(snapshots: &'a [Json], spec: &ThroughputSpec) -> Option<&'a Json> {
+/// dimensions (cores, refs_per_core, seed) match — the most recent
+/// comparable measurement in a trajectory file.
+pub fn select_snapshot(
+    snapshots: &[Json],
+    cores: usize,
+    refs_per_core: usize,
+    seed: u64,
+) -> Option<&Json> {
     snapshots.iter().rev().find(|s| {
-        s.get("cores").and_then(Json::as_u64) == Some(spec.cores as u64)
-            && s.get("refs_per_core").and_then(Json::as_u64) == Some(spec.refs_per_core as u64)
-            && s.get("seed").and_then(Json::as_u64) == Some(spec.seed)
+        let dim = |key| s.get(key).and_then(Json::as_u64);
+        dim("cores") == Some(cores as u64)
+            && dim("refs_per_core") == Some(refs_per_core as u64)
+            && dim("seed") == Some(seed)
     })
 }
 
-/// Classifies repeated matrix runs against a baseline snapshot. Pure:
-/// all timing has already happened, so this is unit-testable with
-/// synthetic repetitions.
+/// The (system, workload, refs/sec) rows of a `silo-hotloop/v1`
+/// snapshot, in order; malformed rows are skipped.
+fn snapshot_rows(snapshot: &Json) -> Vec<(&str, &str, f64)> {
+    let rows = snapshot.get("rows").and_then(Json::as_arr).unwrap_or(&[]);
+    rows.iter()
+        .filter_map(|r| {
+            Some((
+                r.get("system")?.as_str()?,
+                r.get("workload")?.as_str()?,
+                r.get("refs_per_sec")?.as_f64()?,
+            ))
+        })
+        .collect()
+}
+
+/// Classifies repeated matrix runs, each rendered as a
+/// `silo-hotloop/v1` snapshot, against a baseline snapshot. Pure: all
+/// timing has already happened, so this is unit-testable with synthetic
+/// snapshots.
 ///
 /// Every repetition must contain the same rows in the same order (the
 /// runner guarantees this — the matrix is fixed). Rows without a
@@ -150,28 +174,17 @@ pub fn select_snapshot<'a>(snapshots: &'a [Json], spec: &ThroughputSpec) -> Opti
 ///
 /// Panics when `reps` is empty or the repetitions disagree on the
 /// matrix rows.
-pub fn evaluate(reps: &[Vec<ThroughputRow>], base: &Json, min_tolerance: f64) -> GateReport {
+pub fn evaluate(reps: &[Json], base: &Json, min_tolerance: f64) -> GateReport {
     assert!(!reps.is_empty(), "gate needs at least one repetition");
-    let base_rows = base.get("rows").and_then(Json::as_arr).unwrap_or(&[]);
-    let base_rps = |system: &str, workload: &str| -> Option<f64> {
-        base_rows.iter().find_map(|r| {
-            (r.get("system").and_then(Json::as_str) == Some(system)
-                && r.get("workload").and_then(Json::as_str) == Some(workload))
-            .then(|| r.get("refs_per_sec").and_then(Json::as_f64))
-            .flatten()
-        })
-    };
+    let base_rows = snapshot_rows(base);
+    let reps: Vec<_> = reps.iter().map(snapshot_rows).collect();
     let mut rows = Vec::new();
-    for (i, row) in reps[0].iter().enumerate() {
+    for (i, &(system, workload, _)) in reps[0].iter().enumerate() {
         let mut rps: Vec<f64> = reps
             .iter()
-            .map(|rep| {
-                let r = &rep[i];
-                assert!(
-                    r.system == row.system && r.workload == row.workload,
-                    "repetitions disagree on matrix row {i}"
-                );
-                r.refs_per_sec()
+            .map(|rep| match rep.get(i) {
+                Some(&(s, w, rps)) if s == system && w == workload => rps,
+                _ => panic!("repetitions disagree on matrix row {i}"),
             })
             .collect();
         let (lo, hi) = rps
@@ -180,7 +193,10 @@ pub fn evaluate(reps: &[Vec<ThroughputRow>], base: &Json, min_tolerance: f64) ->
                 (lo.min(v), hi.max(v))
             });
         let median_rps = median(&mut rps);
-        let Some(base_rps) = base_rps(&row.system, &row.workload) else {
+        let Some(&(_, _, base_rps)) = base_rows
+            .iter()
+            .find(|&&(s, w, _)| s == system && w == workload)
+        else {
             continue;
         };
         if base_rps <= 0.0 || median_rps <= 0.0 {
@@ -190,8 +206,8 @@ pub fn evaluate(reps: &[Vec<ThroughputRow>], base: &Json, min_tolerance: f64) ->
         let tolerance = spread.max(min_tolerance);
         let ratio = median_rps / base_rps;
         rows.push(RowVerdict {
-            system: row.system.clone(),
-            workload: row.workload.clone(),
+            system: system.to_string(),
+            workload: workload.to_string(),
             base_rps,
             median_rps,
             spread,
@@ -262,37 +278,39 @@ pub fn gate_json(report: &GateReport) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bench::throughput::snapshot_json;
 
-    fn spec() -> ThroughputSpec {
-        let mut s = ThroughputSpec::hotloop_matrix(100);
-        s.cores = 2;
-        s
+    /// A synthetic `cores`-core snapshot with one row per wall-clock:
+    /// systems `sys0, sys1, ...` on workload `w`, 10,000 refs each.
+    fn snap(label: &str, cores: usize, wall_ms: &[f64]) -> Json {
+        let rows = wall_ms.iter().enumerate().map(|(i, &w)| {
+            Json::Obj(vec![
+                ("system".into(), Json::Str(format!("sys{i}"))),
+                ("workload".into(), Json::Str("w".into())),
+                ("refs_per_sec".into(), Json::Num(10_000.0 / (w / 1e3))),
+            ])
+        });
+        Json::Obj(vec![
+            ("label".into(), Json::Str(label.into())),
+            ("cores".into(), Json::Int(cores as i128)),
+            ("refs_per_core".into(), Json::Int(100)),
+            ("seed".into(), Json::Int(42)),
+            ("rows".into(), Json::Arr(rows.collect())),
+        ])
     }
 
-    fn rows(wall_ms: &[f64]) -> Vec<ThroughputRow> {
-        wall_ms
-            .iter()
-            .enumerate()
-            .map(|(i, &w)| ThroughputRow {
-                system: format!("sys{i}"),
-                workload: "w".into(),
-                refs: 10_000,
-                wall_ms: w,
-            })
-            .collect()
+    fn rows(wall_ms: &[f64]) -> Json {
+        snap("rep", 2, wall_ms)
     }
 
-    fn base_for(r: &[ThroughputRow]) -> Json {
-        snapshot_json("base", &spec(), r)
+    fn base_for(wall_ms: &[f64]) -> Json {
+        snap("base", 2, wall_ms)
     }
 
     #[test]
     fn self_comparison_passes() {
         // A/A: repetitions identical to the baseline, ratios exactly 1.
-        let r = rows(&[10.0, 20.0]);
-        let base = base_for(&r);
-        let reps = vec![r.clone(), r.clone(), r];
+        let base = base_for(&[10.0, 20.0]);
+        let reps = vec![base.clone(), base.clone(), base.clone()];
         let report = evaluate(&reps, &base, DEFAULT_MIN_TOLERANCE);
         assert_eq!(report.rows.len(), 2);
         for row in &report.rows {
@@ -307,7 +325,7 @@ mod tests {
     fn injected_slowdown_is_flagged_as_regress() {
         // The binary got 1.5x slower: every repetition's wall clock is
         // up 50%, far outside a tight observed spread.
-        let base = base_for(&rows(&[10.0, 20.0]));
+        let base = base_for(&[10.0, 20.0]);
         let slow = rows(&[15.0, 30.0]);
         let reps = vec![slow.clone(), slow.clone(), slow];
         let report = evaluate(&reps, &base, DEFAULT_MIN_TOLERANCE);
@@ -323,7 +341,7 @@ mod tests {
     fn noisy_host_widens_its_own_tolerance() {
         // Median is 8% below base, but the repetitions themselves
         // spread 25% — the dip is within the observed noise.
-        let base = base_for(&rows(&[10.0]));
+        let base = base_for(&[10.0]);
         let reps = vec![rows(&[10.0]), rows(&[10.87]), rows(&[12.2])];
         let report = evaluate(&reps, &base, DEFAULT_MIN_TOLERANCE);
         let row = &report.rows[0];
@@ -336,7 +354,7 @@ mod tests {
     fn tolerance_floor_absorbs_tiny_dips() {
         // Zero spread (identical reps) but only 2% below base: the
         // min-tolerance floor keeps this out of the regress bucket.
-        let base = base_for(&rows(&[10.0]));
+        let base = base_for(&[10.0]);
         let dip = rows(&[10.2]);
         let reps = vec![dip.clone(), dip];
         let report = evaluate(&reps, &base, DEFAULT_MIN_TOLERANCE);
@@ -348,31 +366,41 @@ mod tests {
 
     #[test]
     fn rows_missing_from_the_baseline_are_skipped() {
-        let base = base_for(&rows(&[10.0]));
+        let base = base_for(&[10.0]);
         let now = vec![rows(&[10.0, 5.0])];
         let report = evaluate(&now, &base, DEFAULT_MIN_TOLERANCE);
         assert_eq!(report.rows.len(), 1, "sys1 has no baseline counterpart");
     }
 
     #[test]
+    #[should_panic(expected = "repetitions disagree on matrix row 1")]
+    fn repetitions_with_different_rows_are_rejected() {
+        let base = base_for(&[10.0, 20.0]);
+        evaluate(&[rows(&[10.0, 20.0]), rows(&[10.0])], &base, 0.05);
+    }
+
+    #[test]
     fn select_snapshot_takes_the_last_matching_dimensions() {
-        let s = spec();
-        let mk = |label: &str, cores: usize| {
-            let mut sp = spec();
-            sp.cores = cores;
-            snapshot_json(label, &sp, &rows(&[10.0]))
-        };
-        let snaps = vec![mk("old", 2), mk("other-dims", 8), mk("new", 2)];
-        let found = select_snapshot(&snaps, &s).expect("match");
+        let snaps = vec![
+            snap("old", 2, &[10.0]),
+            snap("other-dims", 8, &[10.0]),
+            snap("new", 2, &[10.0]),
+        ];
+        let found = select_snapshot(&snaps, 2, 100, 42).expect("match");
         assert_eq!(found.get("label").and_then(Json::as_str), Some("new"));
-        let mut s8 = spec();
-        s8.cores = 16;
-        assert!(select_snapshot(&snaps, &s8).is_none());
+        let found = select_snapshot(&snaps, 8, 100, 42).expect("match");
+        assert_eq!(
+            found.get("label").and_then(Json::as_str),
+            Some("other-dims")
+        );
+        assert!(select_snapshot(&snaps, 16, 100, 42).is_none());
+        assert!(select_snapshot(&snaps, 2, 200, 42).is_none());
+        assert!(select_snapshot(&snaps, 2, 100, 7).is_none());
     }
 
     #[test]
     fn gate_json_round_trips_the_verdict() {
-        let base = base_for(&rows(&[10.0]));
+        let base = base_for(&[10.0]);
         let reps = vec![rows(&[15.0])];
         let doc = gate_json(&evaluate(&reps, &base, DEFAULT_MIN_TOLERANCE));
         let parsed = Json::parse(&doc.to_string()).expect("round trip");

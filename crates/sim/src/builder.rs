@@ -53,15 +53,9 @@ impl Simulation {
 
     /// Runs every sweep point over every system, fanning out across
     /// [`Simulation::threads`] workers; records come back in point
-    /// order.
+    /// order, bit-identical at any thread count.
     pub fn run(&self) -> Vec<BenchRecord> {
         bench::run_sweep(&self.spec, self.threads())
-    }
-
-    /// Runs everything on the calling thread (bit-identical to
-    /// [`Simulation::run`]).
-    pub fn run_sequential(&self) -> Vec<BenchRecord> {
-        bench::run_sweep_sequential(&self.spec)
     }
 }
 
@@ -699,7 +693,7 @@ mod tests {
             .refs_per_core(300)
             .build()
             .expect("valid");
-        let records = sim.run_sequential();
+        let records = bench::run_sweep(sim.spec(), 1);
         assert_eq!(records[0].runs.len(), 2);
         assert_eq!(records[0].runs[1].stats.system, "mini-llc");
         assert!(records[0].runs[1].stats.instructions > 0);

@@ -20,10 +20,12 @@
 //! `--check` oracle period are deliberately excluded: both are
 //! documented to leave results bit-identical.
 //!
-//! [`document_from_rows`] is the inverse companion: it rebuilds a full
-//! `silo-bench/v1` document from cached row strings, byte-identical to
-//! [`crate::bench::sweep_json`] on the original records — possible
-//! because the [`crate::json`] writer/parser round-trips exactly.
+//! [`document_from_rows`] is the inverse companion: it parses cached
+//! row strings and hands them to the one `silo-bench/v1` builder behind
+//! [`crate::bench::sweep_json`], so the rebuilt
+//! `silo-bench/v1` document is byte-identical to a direct run's —
+//! possible because the [`crate::json`] writer/parser round-trips
+//! exactly.
 
 use crate::bench::{SweepPoint, SweepSpec, SCHEMA};
 use crate::json::Json;
@@ -150,75 +152,22 @@ pub fn sweep_hash_of_keys(keys: &[String]) -> String {
 /// as `--json` writes it) from rendered point rows — the daemon's path
 /// from cached rows back to a result byte-identical to a direct run.
 ///
-/// The geomean is recomputed from the rows' `speedup` fields and the
-/// meter echo from the first row's telemetry; both reproduce
-/// [`crate::bench::sweep_json`] exactly because the JSON layer
-/// round-trips numbers exactly.
-///
 /// # Errors
 ///
 /// Returns a message when a row is not valid row JSON.
 pub fn document_from_rows(rows: &[String], seed: u64) -> Result<String, String> {
-    let points: Vec<Json> = rows
+    let points = rows
         .iter()
         .enumerate()
         .map(|(i, r)| Json::parse(r).map_err(|e| format!("row {i} is not valid JSON: {e}")))
         .collect::<Result<_, _>>()?;
-    let speedups: Vec<f64> = points
-        .iter()
-        .filter_map(|p| p.get("speedup").and_then(Json::as_f64))
-        .collect();
-    let geomean = if speedups.is_empty() {
-        Json::Null
-    } else {
-        Json::Num(silo_types::geomean(&speedups))
-    };
-    let system_names: Vec<Json> = points
-        .first()
-        .and_then(|p| p.get("systems"))
-        .and_then(Json::as_arr)
-        .map(|systems| {
-            systems
-                .iter()
-                .filter_map(|s| s.get("system").and_then(Json::as_str))
-                .map(|name| Json::Str(name.to_string()))
-                .collect()
-        })
-        .unwrap_or_default();
-    let first_meter = points
-        .first()
-        .and_then(|p| p.get("telemetry"))
-        .and_then(Json::as_arr)
-        .and_then(<[Json]>::first);
-    let warmup = first_meter
-        .and_then(|t| t.get("warmup_refs"))
-        .and_then(Json::as_u64)
-        .unwrap_or(0);
-    let epoch = first_meter
-        .and_then(|t| t.get("epoch_refs"))
-        .and_then(Json::as_u64)
-        .map_or(Json::Null, |e| Json::Int(i128::from(e)));
-    let doc = Json::Obj(vec![
-        ("schema".into(), Json::Str(SCHEMA.into())),
-        ("seed".into(), Json::Int(i128::from(seed))),
-        (
-            "telemetry".into(),
-            Json::Obj(vec![
-                ("warmup_refs".into(), Json::Int(i128::from(warmup))),
-                ("epoch_refs".into(), epoch),
-            ]),
-        ),
-        ("systems".into(), Json::Arr(system_names)),
-        ("geomean_speedup".into(), geomean),
-        ("points".into(), Json::Arr(points)),
-    ]);
-    Ok(format!("{doc}\n"))
+    Ok(format!("{}\n", crate::bench::document(points, seed)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bench::{record_json, run_sweep_sequential, sweep_json};
+    use crate::bench::{record_json, run_sweep, sweep_json};
     use crate::builder::Simulation;
     use crate::scenario::Scenario;
 
@@ -318,7 +267,7 @@ warmup = 100
 epoch = 200
 ",
         );
-        let records = run_sweep_sequential(&spec);
+        let records = run_sweep(&spec, 1);
         let direct = format!("{}\n", sweep_json(&records, spec.seed));
         let rows: Vec<String> = records.iter().map(|r| record_json(r).to_string()).collect();
         let rebuilt = document_from_rows(&rows, spec.seed).expect("rebuild");

@@ -5,8 +5,16 @@
 //! Only what the bench schema needs is supported: objects preserve
 //! insertion order, integers and floats are distinct variants (so `u64`
 //! counters survive exactly), and non-finite floats serialize as `null`.
+//! Nesting is capped at [`MAX_DEPTH`] so hostile input (a cache row
+//! read back from disk, say) gets a typed error instead of exhausting
+//! the stack of the thread that parses it.
 
 use std::fmt;
+
+/// Deepest array/object nesting [`Json::parse`] accepts. The documents
+/// this workspace writes nest about 6 levels; the parser recurses once
+/// per level, so the cap also bounds its stack use.
+pub const MAX_DEPTH: usize = 128;
 
 /// A JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -82,15 +90,15 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// Returns a message naming the byte offset on malformed input or
-    /// trailing garbage.
+    /// Returns a message naming the byte offset on malformed input,
+    /// nesting deeper than [`MAX_DEPTH`], or trailing garbage.
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
         };
         p.skip_ws();
-        let v = p.value()?;
+        let v = p.value(0)?;
         p.skip_ws();
         if p.pos != p.bytes.len() {
             return Err(format!("trailing content at byte {}", p.pos));
@@ -167,14 +175,19 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<Json, String> {
+    /// Parses one value nested `depth` arrays/objects deep.
+    fn value(&mut self, depth: usize) -> Result<Json, String> {
         match self.peek() {
+            Some(b'[' | b'{') if depth == MAX_DEPTH => Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            )),
             Some(b'n') => self.literal("null", Json::Null),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.array(depth + 1),
+            Some(b'{') => self.object(depth + 1),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(format!("unexpected input at byte {}", self.pos)),
         }
@@ -267,7 +280,7 @@ impl Parser<'_> {
         }
     }
 
-    fn array(&mut self) -> Result<Json, String> {
+    fn array(&mut self, depth: usize) -> Result<Json, String> {
         self.expect(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -277,7 +290,7 @@ impl Parser<'_> {
         }
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            items.push(self.value(depth)?);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -290,7 +303,7 @@ impl Parser<'_> {
         }
     }
 
-    fn object(&mut self) -> Result<Json, String> {
+    fn object(&mut self, depth: usize) -> Result<Json, String> {
         self.expect(b'{')?;
         let mut fields = Vec::new();
         self.skip_ws();
@@ -304,7 +317,7 @@ impl Parser<'_> {
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
-            let value = self.value()?;
+            let value = self.value(depth)?;
             fields.push((key, value));
             self.skip_ws();
             match self.peek() {
@@ -388,6 +401,19 @@ mod tests {
         assert!(Json::parse("{\"a\" 1}").is_err());
         assert!(Json::parse("12 34").is_err());
         assert!(Json::parse("\"open").is_err());
+    }
+
+    #[test]
+    fn nesting_past_the_cap_is_a_typed_error() {
+        // A million open brackets used to overflow the parsing thread's
+        // stack and abort the process.
+        let err = Json::parse(&"[".repeat(1_000_000)).expect_err("too deep");
+        assert!(err.contains("nesting deeper than"), "{err}");
+        assert!(Json::parse(&"{\"k\":".repeat(MAX_DEPTH + 1)).is_err());
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&at_cap).is_ok());
+        let over = format!("[{at_cap}]");
+        assert!(Json::parse(&over).is_err());
     }
 
     #[test]

@@ -27,8 +27,11 @@
 //!   format describing a whole comparison, loaded via `--scenario`.
 //!
 //! The [`mod@bench`] module fans sweeps over (workload × cores × scale ×
-//! mlp × vault design) out across OS threads and emits machine-readable
-//! `silo-bench/v1` JSON through the dependency-free [`json`] module.
+//! mlp × vault design) out across OS threads with [`run_sweep`] — the
+//! one sweep runner, which the hot-loop throughput bench
+//! ([`bench::throughput`]) runs its matrix through too — and emits
+//! machine-readable `silo-bench/v1` JSON through the dependency-free
+//! [`json`] module.
 //!
 //! The run loop streams: every run pulls references in round-robin
 //! batches from a [`TraceSource`] (`silo-trace`) — the lazy synthetic generator
@@ -88,9 +91,7 @@ pub mod timeline;
 pub mod timing;
 pub mod workload;
 
-pub use bench::{
-    record_traces, run_sweep, run_sweep_sequential, BenchRecord, SweepPoint, SweepSpec, SystemRun,
-};
+pub use bench::{record_traces, run_sweep, BenchRecord, SweepPoint, SweepSpec, SystemRun};
 pub use builder::{Simulation, SimulationBuilder};
 pub use config::{SystemConfig, VaultDesign};
 pub use error::ConfigError;

@@ -30,8 +30,6 @@ USAGE:
                                  20000), --threads N, --label S,
                                  --json PATH (append a snapshot to a
                                  silo-hotloop/v1 trajectory file),
-                                 --compare PATH (print refs/sec deltas vs
-                                 the file's last snapshot),
                                  --gate PATH (noise-aware perf gate:
                                  repeat the matrix --gate-reps times
                                  (default 5), take the median refs/sec
@@ -39,7 +37,9 @@ USAGE:
                                  geomean as pass/noise/regress against
                                  the file's last matching snapshot with
                                  a tolerance derived from the observed
-                                 rep spread; exit 1 on regress),
+                                 rep spread; exit 1 on regress;
+                                 --gate-reps 1 is the quick per-row
+                                 comparison),
                                  --gate-json PATH (write the
                                  silo-gate/v1 verdict)
     silo-sim serve [OPTIONS]     simulation-as-a-service daemon: accept
@@ -358,11 +358,11 @@ fn print_trace_info(path: &Path) -> Result<(), ConfigError> {
     Ok(())
 }
 
-/// `silo-sim bench`: runs the fixed hot-loop throughput matrix and
-/// reports refs/sec per (system, workload) cell. `--json` appends the
-/// run as a snapshot to a `silo-hotloop/v1` trajectory file
-/// (`BENCH_hotloop.json`); `--compare` prints per-cell deltas against
-/// the last snapshot of an existing trajectory.
+/// `silo-sim bench`: runs the fixed hot-loop throughput matrix as a
+/// sweep and reports refs/sec per (system, workload) row. `--json`
+/// appends the run as a snapshot to a `silo-hotloop/v1` trajectory file
+/// (`BENCH_hotloop.json`); `--gate` compares it, repeated
+/// `--gate-reps` times, against the file's last matching snapshot.
 fn run_bench(mut args: impl Iterator<Item = String>) -> Result<(), ConfigError> {
     use silo_sim::bench::gate;
     use silo_sim::bench::throughput;
@@ -371,7 +371,6 @@ fn run_bench(mut args: impl Iterator<Item = String>) -> Result<(), ConfigError> 
     let mut threads = std::thread::available_parallelism().map_or(4, usize::from);
     let mut label: Option<String> = None;
     let mut json: Option<PathBuf> = None;
-    let mut compare: Option<PathBuf> = None;
     let mut gate_base: Option<PathBuf> = None;
     let mut gate_reps: usize = gate::DEFAULT_GATE_REPS;
     let mut gate_json_out: Option<PathBuf> = None;
@@ -381,9 +380,6 @@ fn run_bench(mut args: impl Iterator<Item = String>) -> Result<(), ConfigError> 
             "--threads" => threads = value_of("--threads", &mut args, scalar)?,
             "--label" => label = Some(value_of("--label", &mut args, scalar)?),
             "--json" => json = Some(value_of("--json", &mut args, scalar)?),
-            "--compare" => {
-                compare = Some(value_of("--compare", &mut args, scalar)?);
-            }
             "--gate" => {
                 gate_base = Some(value_of("--gate", &mut args, scalar)?);
             }
@@ -400,61 +396,38 @@ fn run_bench(mut args: impl Iterator<Item = String>) -> Result<(), ConfigError> 
     if gate_reps == 0 {
         return Err(bad("--gate-reps", "0", "needs at least one repetition"));
     }
-    let spec = throughput::ThroughputSpec::hotloop_matrix(refs);
+    let sim = throughput::hotloop_matrix(refs).build()?;
+    let spec = sim.spec();
+    let (cores, seed) = (spec.cores[0], spec.seed);
     println!(
-        "hot-loop bench: {} systems x {} workloads, {} cores, {} refs/core, seed {}, {} threads",
+        "hot-loop bench: {} systems x {} workloads, {cores} cores, {refs} refs/core, seed {seed}, \
+         {threads} threads",
         spec.systems.len(),
         spec.workloads.len(),
-        spec.cores,
-        spec.refs_per_core,
-        spec.seed,
-        threads
     );
-    let rows = throughput::run_throughput(&spec, threads);
+    let label = label.unwrap_or_else(|| format!("refs{refs}"));
+    let records = bench::run_sweep(spec, threads);
     println!(
         "{:<16} {:<16} {:>10} {:>10} {:>14}",
         "system", "workload", "refs", "wall(ms)", "refs/sec"
     );
-    for r in &rows {
+    for r in throughput::rows(&records) {
         println!(
             "{:<16} {:<16} {:>10} {:>10.1} {:>14.0}",
-            r.system,
-            r.workload,
-            r.refs,
+            r.stats.system,
+            r.stats.workload,
+            r.stats.served.total(),
             r.wall_ms,
-            r.refs_per_sec()
+            throughput::refs_per_sec(r)
         );
     }
     println!(
         "geomean {:.0} refs/sec",
-        throughput::geomean_refs_per_sec(&rows)
+        throughput::geomean_refs_per_sec(&records)
     );
-    if let Some(path) = &compare {
-        let snapshots = throughput::load_snapshots(path)?;
-        match snapshots.last() {
-            None => println!("compare: {} has no snapshots", path.display()),
-            Some(reference) => {
-                let against = reference
-                    .get("label")
-                    .and_then(silo_sim::Json::as_str)
-                    .unwrap_or("?");
-                let (deltas, geo) = throughput::compare_rows(&rows, reference);
-                for d in &deltas {
-                    println!(
-                        "delta {:<16} {:<16} {:>14.0} vs {:>14.0} = {:.2}x",
-                        d.system, d.workload, d.now, d.then, d.ratio
-                    );
-                }
-                match geo {
-                    Some(g) => println!("geomean vs '{against}': {g:.2}x refs/sec"),
-                    None => println!("compare: no matching rows in '{against}'"),
-                }
-            }
-        }
-    }
+    let snapshot = throughput::snapshot_json(&label, spec, &records);
     if let Some(path) = &json {
-        let label = label.unwrap_or_else(|| format!("refs{refs}"));
-        let n = throughput::append_snapshot(path, throughput::snapshot_json(&label, &spec, &rows))?;
+        let n = throughput::append_snapshot(path, snapshot.clone())?;
         println!(
             "appended snapshot '{label}' to {} ({n} total)",
             path.display()
@@ -462,23 +435,23 @@ fn run_bench(mut args: impl Iterator<Item = String>) -> Result<(), ConfigError> 
     }
     if let Some(base_path) = &gate_base {
         let snapshots = throughput::load_snapshots(base_path)?;
-        let Some(base) = gate::select_snapshot(&snapshots, &spec) else {
+        let Some(base) = gate::select_snapshot(&snapshots, cores, refs, seed) else {
             return Err(bad(
                 "--gate",
                 base_path.display().to_string(),
                 format!(
-                    "no snapshot matches the matrix (cores {}, refs/core {}, seed {})",
-                    spec.cores, spec.refs_per_core, spec.seed
+                    "no snapshot matches the matrix (cores {cores}, refs/core {refs}, seed {seed})"
                 ),
             ));
         };
         // The matrix above is repetition 1; the rest run back to back at
         // whole-matrix granularity, so host noise lands across every
         // row's sample instead of concentrating in one row.
-        let mut reps = vec![rows];
+        let mut reps = vec![snapshot];
         while reps.len() < gate_reps {
             println!("gate repetition {}/{gate_reps}...", reps.len() + 1);
-            reps.push(throughput::run_throughput(&spec, threads));
+            let records = bench::run_sweep(spec, threads);
+            reps.push(throughput::snapshot_json(&label, spec, &records));
         }
         let report = gate::evaluate(&reps, base, gate::DEFAULT_MIN_TOLERANCE);
         println!();
@@ -964,9 +937,7 @@ fn main() {
             }
         }
     }
-    if cli.settings.profile == Some(true) {
-        print_profile(&records);
-    }
+    print_profile(&records);
     if let Some(path) = &cli.profile_json {
         let doc = format!("{}\n", bench::profile_json(&records));
         if let Err(e) = std::fs::write(path, doc) {
@@ -998,7 +969,8 @@ fn main() {
 /// Prints the merged hot-loop phase profile as a tree: one row per root
 /// stage with its wall-clock, batch count, and share of the run's wall,
 /// its phases indented under it (they sum to the root), then the wall,
-/// the bounding stage and the profiler's own cost.
+/// the bounding stage and the profiler's own cost. Prints nothing when
+/// no run was profiled (neither `--profile` nor a `profile = on` key).
 fn print_profile(records: &[BenchRecord]) {
     let Some(p) = bench::merged_profile(records) else {
         return;

@@ -168,7 +168,7 @@ seed = 9
         let direct = format!(
             "{}\n",
             crate::bench::sweep_json(
-                &crate::bench::run_sweep_sequential(plan.job.spec()),
+                &crate::bench::run_sweep(plan.job.spec(), 1),
                 plan.job.spec().seed
             )
         );

@@ -164,7 +164,7 @@ mod tests {
             .seed(3)
             .build()
             .expect("valid");
-        let records = sim.run_sequential();
+        let records = crate::bench::run_sweep(sim.spec(), 1);
         let csv = timeline_csv(&records);
         let mut lines = csv.lines();
         let header = lines.next().expect("header");
@@ -200,7 +200,7 @@ mod tests {
             .seed(3)
             .build()
             .expect("valid");
-        let records = sim.run_sequential();
+        let records = crate::bench::run_sweep(sim.spec(), 1);
         let lines: Vec<String> = records.iter().flat_map(epoch_ndjson).collect();
         // ceil(1200 refs / 400 per epoch) = 3 epochs x 2 systems.
         assert_eq!(lines.len(), 6);
@@ -231,7 +231,7 @@ mod tests {
             .seed(3)
             .build()
             .expect("valid");
-        let csv = timeline_csv(&sim.run_sequential());
+        let csv = timeline_csv(&crate::bench::run_sweep(sim.spec(), 1));
         let columns = TIMELINE_HEADER.split(',').count();
         let row = csv.lines().nth(1).expect("one epoch row");
         assert!(row.starts_with("\"zipf:theta=0.9,footprint=4x\",SILO,"));
@@ -257,7 +257,7 @@ mod tests {
             .seed(3)
             .build()
             .expect("valid");
-        let records = sim.run_sequential();
+        let records = crate::bench::run_sweep(sim.spec(), 1);
         assert_eq!(timeline_csv(&records).lines().count(), 1);
     }
 }

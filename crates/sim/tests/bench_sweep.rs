@@ -3,7 +3,7 @@
 //! parse and round-trip the key fields (including the legacy
 //! `silo`/`baseline` point objects and the N-way `systems` array).
 
-use silo_sim::bench::{run_sweep, run_sweep_sequential, sweep_json, SweepSpec, SCHEMA};
+use silo_sim::bench::{run_sweep, sweep_json, SweepSpec, SCHEMA};
 use silo_sim::{
     Json, MeterConfig, RunMode, SystemConfig, SystemRegistry, VaultDesign, WorkloadSpec,
 };
@@ -33,7 +33,7 @@ fn sweep_spec() -> SweepSpec {
 #[test]
 fn parallel_sweep_is_bit_identical_to_sequential() {
     let spec = sweep_spec();
-    let seq = run_sweep_sequential(&spec);
+    let seq = run_sweep(&spec, 1);
     let par = run_sweep(&spec, 4);
     assert_eq!(seq.len(), 8, "2 workloads x 2 cores x 2 scales");
     assert_eq!(seq.len(), par.len());
@@ -61,7 +61,7 @@ fn oversubscribed_thread_counts_still_match() {
     let mut spec = sweep_spec();
     spec.cores = vec![2];
     spec.scales = vec![64];
-    let seq = run_sweep_sequential(&spec);
+    let seq = run_sweep(&spec, 1);
     let par = run_sweep(&spec, 64);
     assert_eq!(seq.len(), par.len());
     for (a, b) in seq.iter().zip(&par) {

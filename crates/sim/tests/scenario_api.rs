@@ -101,7 +101,7 @@ fn three_way_scenario_keeps_pair_rows_bit_identical_to_concrete_runs() {
         .scenario(&scenario)
         .build()
         .expect("builds")
-        .run_sequential();
+        .run();
     assert_eq!(records.len(), 1);
     assert_eq!(records[0].runs.len(), 3);
 

@@ -12,7 +12,7 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use silo_serve::{start, ServeConfig, ServerHandle};
-use silo_sim::bench::{run_sweep_sequential, sweep_json};
+use silo_sim::bench::{run_sweep, sweep_json};
 use silo_sim::{Json, Scenario, SimJobEngine, Simulation};
 
 const SCENARIO: &str = "\
@@ -93,7 +93,7 @@ fn direct_document(scenario: &str) -> String {
         .expect("scenario builds")
         .spec()
         .clone();
-    format!("{}\n", sweep_json(&run_sweep_sequential(&spec), spec.seed))
+    format!("{}\n", sweep_json(&run_sweep(&spec, 1), spec.seed))
 }
 
 /// Drops every `wall_ms` field — the one host-dependent value in a

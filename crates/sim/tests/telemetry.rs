@@ -29,8 +29,8 @@ fn warmup_removes_cold_miss_bias_from_the_report_path() {
     // fractions must come from post-warmup counters only, so the memory
     // fraction (dominated by cold misses early on) drops, and the
     // geomean speedup moves.
-    let cold = zipf_sim(0, None, 1).run_sequential();
-    let warm = zipf_sim(800, None, 1).run_sequential();
+    let cold = zipf_sim(0, None, 1).run();
+    let warm = zipf_sim(800, None, 1).run();
     for (c, w) in cold[0].runs.iter().zip(&warm[0].runs) {
         let sys = &c.stats.system;
         let cold_mem = c.stats.served.fraction(ServedBy::Memory);
@@ -64,7 +64,7 @@ fn timeline_csv_is_bit_identical_across_sweep_threads() {
     // sequential one.
     let sim = zipf_sim(500, Some(700), 3);
     let par = sim.run();
-    let seq = sim.run_sequential();
+    let seq = silo_sim::run_sweep(sim.spec(), 1);
     let csv_par = timeline_csv(&par);
     let csv_seq = timeline_csv(&seq);
     assert!(!csv_par.is_empty());
@@ -75,7 +75,7 @@ fn timeline_csv_is_bit_identical_across_sweep_threads() {
 fn epochs_flush_the_partial_tail_and_sum_to_total_refs() {
     // 8000 total refs at 3000/epoch: two full epochs plus a 2000-ref
     // partial one, per system.
-    let records = zipf_sim(0, Some(3_000), 1).run_sequential();
+    let records = zipf_sim(0, Some(3_000), 1).run();
     for run in &records[0].runs {
         let rows = run.telemetry.timeline.rows();
         assert_eq!(rows.len(), 3, "{}", run.stats.system);
@@ -99,7 +99,7 @@ fn warmup_epochs_are_flagged_and_measurement_matches_the_tail() {
     // Warmup 4000 at 2000/epoch: the first two epochs are warmup, the
     // last two are measurement; post-warmup instructions reported by the
     // run must equal the instructions of the measurement epochs.
-    let records = zipf_sim(4_000, Some(2_000), 1).run_sequential();
+    let records = zipf_sim(4_000, Some(2_000), 1).run();
     for run in &records[0].runs {
         let rows = run.telemetry.timeline.rows();
         let flags: Vec<bool> = rows.iter().map(|r| r.warmup).collect();
@@ -135,7 +135,7 @@ fn warmup_epochs_are_flagged_and_measurement_matches_the_tail() {
 
 #[test]
 fn json_telemetry_counters_track_coherence_events_per_system() {
-    let records = zipf_sim(0, Some(4_000), 1).run_sequential();
+    let records = zipf_sim(0, Some(4_000), 1).run();
     let doc = silo_sim::bench::sweep_json(&records, 11);
     let text = doc.to_string();
     let parsed = Json::parse(&text).expect("document parses");

@@ -267,7 +267,7 @@ fn a_capture_replays_alongside_its_source_workload() {
         .seed(21)
         .build()
         .expect("replay alongside its source must not be a duplicate");
-    let records = both.run_sequential();
+    let records = silo_sim::run_sweep(both.spec(), 1);
     assert_eq!(records.len(), 2);
     assert_eq!(records[0].point.workload.name, "shared-mix");
     assert_eq!(records[1].point.workload.name, "shared-mix");
