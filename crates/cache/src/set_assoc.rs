@@ -54,13 +54,20 @@ const DENSE_MAX_LINES: u64 = 1 << 16;
 
 /// Backing store, specialized by geometry.
 ///
-/// * `Dense` — flat `sets * ways` slot array, set `s` at
-///   `[s*ways, (s+1)*ways)`. Used for small arrays (every probe on the
-///   simulated LLC path hits one of these, so this is the hot layout).
-///   Bit-compatible with the sparse layouts because recency stamps are
-///   globally unique, so the LRU victim is identified by stamp value
-///   alone, never by slot order; it is therefore not used for
-///   multi-way `Random` arrays, whose victim pick is order-sensitive.
+/// * `Dense` — flat structure-of-arrays store for small LRU arrays
+///   (every probe on the simulated L1/LLC path hits one of these, so
+///   this is the hot layout). Slot `s*ways + w` is way `w` of set `s`,
+///   and the slot's line, recency stamp and payload live in three
+///   parallel arrays, so one set's tags are contiguous: an 8-way set's
+///   tags fill one 64-byte host line. A slot is empty exactly when its
+///   stamp is 0. Ticks start at 1, so no resident line has stamp 0;
+///   the tag cannot mark emptiness because a [`LineAddr`] may be any
+///   `u64`. An empty slot's tag and payload are stale and never read as
+///   a line. Bit-compatible with the sparse layouts because recency
+///   stamps are globally unique, so the LRU victim is identified by
+///   stamp value alone, never by slot order; it is therefore not used
+///   for multi-way `Random` arrays, whose victim pick is order-sensitive.
+/// * `DenseDirect` — dense direct-mapped (`ways == 1`, either policy).
 /// * `Direct` — sparse direct-mapped (`ways == 1`, e.g. a full-scale
 ///   SILO vault, Sec. V-A): the single way inline in the map entry.
 /// * `Assoc` — sparse set-associative: lazily allocated way lists.
@@ -70,11 +77,41 @@ enum Table<P> {
     /// recency stamp — with a single way the victim is always the sole
     /// resident line, so recency is unobservable and the slot shrinks
     /// to half a `Way`. This is the layout of every scale-64 vault, the
-    /// hottest array in a SILO run.
+    /// hottest array in a SILO run; a probe reads one host line.
     DenseDirect(Box<[Option<(LineAddr, P)>]>),
-    Dense(Box<[Option<Way<P>>]>),
+    Dense(Dense<P>),
     Direct(FxHashMap<u64, Way<P>>),
     Assoc(FxHashMap<u64, Vec<Way<P>>>),
+}
+
+/// The `Dense` table's parallel slot arrays (see [`Table`]).
+#[derive(Clone, Debug)]
+struct Dense<P> {
+    tags: Box<[u64]>,
+    /// Recency stamp per slot; 0 marks an empty slot.
+    stamps: Box<[u64]>,
+    /// `Some` exactly when the slot's stamp is nonzero.
+    payloads: Box<[Option<P>]>,
+}
+
+impl<P> Dense<P> {
+    fn new(lines: usize) -> Self {
+        Dense {
+            tags: vec![0; lines].into_boxed_slice(),
+            stamps: vec![0; lines].into_boxed_slice(),
+            payloads: std::iter::repeat_with(|| None).take(lines).collect(),
+        }
+    }
+
+    /// Slot index of `line` among the `ways` slots from `base`.
+    #[inline]
+    fn find(&self, base: usize, ways: usize, line: LineAddr) -> Option<usize> {
+        let tags = &self.tags[base..base + ways];
+        let stamps = &self.stamps[base..base + ways];
+        (0..ways)
+            .find(|&w| tags[w] == line.as_u64() && stamps[w] != 0)
+            .map(|w| base + w)
+    }
 }
 
 /// A set-associative cache keyed by [`LineAddr`] with payload `P`.
@@ -124,11 +161,7 @@ impl<P> SetAssocCache<P> {
                     .collect(),
             )
         } else if lines <= DENSE_MAX_LINES && policy == ReplacementPolicy::Lru {
-            Table::Dense(
-                std::iter::repeat_with(|| None)
-                    .take(lines as usize)
-                    .collect(),
-            )
+            Table::Dense(Dense::new(lines as usize))
         } else if ways == 1 {
             Table::Direct(fx_map_with_capacity(buckets))
         } else {
@@ -203,7 +236,7 @@ impl<P> SetAssocCache<P> {
     pub fn len(&self) -> usize {
         match &self.table {
             Table::DenseDirect(slots) => slots.iter().filter(|s| s.is_some()).count(),
-            Table::Dense(slots) => slots.iter().filter(|s| s.is_some()).count(),
+            Table::Dense(d) => d.stamps.iter().filter(|&&s| s != 0).count(),
             Table::Direct(m) => m.len(),
             Table::Assoc(m) => m.values().map(Vec::len).sum(),
         }
@@ -213,7 +246,7 @@ impl<P> SetAssocCache<P> {
     pub fn is_empty(&self) -> bool {
         match &self.table {
             Table::DenseDirect(slots) => slots.iter().all(Option::is_none),
-            Table::Dense(slots) => slots.iter().all(Option::is_none),
+            Table::Dense(d) => d.stamps.iter().all(|&s| s == 0),
             Table::Direct(m) => m.is_empty(),
             Table::Assoc(m) => m.is_empty(),
         }
@@ -245,7 +278,7 @@ impl<P> SetAssocCache<P> {
             let set = self.set_of(line) as usize;
             let ptr = match &self.table {
                 Table::DenseDirect(slots) => std::ptr::addr_of!(slots[set]).cast::<i8>(),
-                Table::Dense(slots) => std::ptr::addr_of!(slots[set * self.ways]).cast::<i8>(),
+                Table::Dense(d) => std::ptr::addr_of!(d.tags[set * self.ways]).cast::<i8>(),
                 Table::Direct(_) | Table::Assoc(_) => return,
             };
             // SAFETY: the slot index is in bounds by construction, and a
@@ -270,14 +303,10 @@ impl<P> SetAssocCache<P> {
                 Some((l, p)) if *l == line => Some(p),
                 _ => None,
             },
-            Table::Dense(slots) => slots[set as usize * ways_n..(set as usize + 1) * ways_n]
-                .iter_mut()
-                .filter_map(Option::as_mut)
-                .find(|w| w.line == line)
-                .map(|w| {
-                    w.stamp = tick;
-                    &mut w.payload
-                }),
+            Table::Dense(d) => d.find(set as usize * ways_n, ways_n, line).and_then(|i| {
+                d.stamps[i] = tick;
+                d.payloads[i].as_mut()
+            }),
             Table::Direct(m) => match m.get_mut(&set) {
                 Some(w) if w.line == line => {
                     w.stamp = tick;
@@ -309,11 +338,9 @@ impl<P> SetAssocCache<P> {
                 Some((l, p)) if *l == line => Some(p),
                 _ => None,
             },
-            Table::Dense(slots) => slots[set as usize * self.ways..(set as usize + 1) * self.ways]
-                .iter()
-                .filter_map(Option::as_ref)
-                .find(|w| w.line == line)
-                .map(|w| &w.payload),
+            Table::Dense(d) => d
+                .find(set as usize * self.ways, self.ways, line)
+                .and_then(|i| d.payloads[i].as_ref()),
             Table::Direct(m) => match m.get(&set) {
                 Some(w) if w.line == line => Some(&w.payload),
                 _ => None,
@@ -334,11 +361,9 @@ impl<P> SetAssocCache<P> {
                 Some((l, p)) if *l == line => Some(p),
                 _ => None,
             },
-            Table::Dense(slots) => slots[set as usize * self.ways..(set as usize + 1) * self.ways]
-                .iter_mut()
-                .filter_map(Option::as_mut)
-                .find(|w| w.line == line)
-                .map(|w| &mut w.payload),
+            Table::Dense(d) => d
+                .find(set as usize * self.ways, self.ways, line)
+                .and_then(|i| d.payloads[i].as_mut()),
             Table::Direct(m) => match m.get_mut(&set) {
                 Some(w) if w.line == line => Some(&mut w.payload),
                 _ => None,
@@ -387,38 +412,37 @@ impl<P> SetAssocCache<P> {
                     }
                 }
             }
-            Table::Dense(slots) => {
-                let new_way = Way {
-                    line,
+            Table::Dense(d) => {
+                // One pass over the set: the resident copy of `line`, else
+                // the first empty slot, else the least-recent way (stamps
+                // are unique, so the minimum is unambiguous). Dense tables
+                // are LRU only (see `Table`).
+                let base = set as usize * ways_n;
+                let tags = &d.tags[base..base + ways_n];
+                let stamps = &d.stamps[base..base + ways_n];
+                let mut empty = None;
+                let mut lru = (u64::MAX, 0);
+                for w in 0..ways_n {
+                    let stamp = stamps[w];
+                    if stamp == 0 {
+                        empty = empty.or(Some(w));
+                    } else if tags[w] == line.as_u64() {
+                        d.stamps[base + w] = tick;
+                        d.payloads[base + w] = Some(payload);
+                        return None;
+                    } else if stamp < lru.0 {
+                        lru = (stamp, w);
+                    }
+                }
+                let i = base + empty.unwrap_or(lru.1);
+                d.stamps[i] = tick;
+                let old = d.payloads[i].replace(payload);
+                let old_line = std::mem::replace(&mut d.tags[i], line.as_u64());
+                old.map(|payload| Way {
+                    line: LineAddr::new(old_line),
                     payload,
-                    stamp: tick,
-                };
-                let set_slots = &mut slots[set as usize * ways_n..(set as usize + 1) * ways_n];
-                if let Some(w) = set_slots
-                    .iter_mut()
-                    .filter_map(Option::as_mut)
-                    .find(|w| w.line == line)
-                {
-                    *w = new_way;
-                    return None;
-                }
-                if let Some(empty) = set_slots.iter_mut().find(|s| s.is_none()) {
-                    *empty = Some(new_way);
-                    return None;
-                }
-                // Set full: every slot resident.
-                let victim_idx = match self.policy {
-                    ReplacementPolicy::Lru => set_slots
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|(_, w)| w.as_ref().expect("set is full").stamp)
-                        .map(|(i, _)| i)
-                        .expect("set is full, so non-empty"),
-                    // Dense + Random only exists direct-mapped (see
-                    // `Table` docs), where any index maps to slot 0.
-                    ReplacementPolicy::Random => (line.scramble() ^ tick) as usize % ways_n,
-                };
-                set_slots[victim_idx].replace(new_way)
+                    stamp: 0,
+                })
             }
             Table::Direct(m) => {
                 let new_way = Way {
@@ -494,11 +518,11 @@ impl<P> SetAssocCache<P> {
                     None
                 }
             }
-            Table::Dense(slots) => slots[set as usize * self.ways..(set as usize + 1) * self.ways]
-                .iter_mut()
-                .find(|s| s.as_ref().is_some_and(|w| w.line == line))
-                .and_then(Option::take)
-                .map(|w| w.payload),
+            Table::Dense(d) => {
+                let i = d.find(set as usize * self.ways, self.ways, line)?;
+                d.stamps[i] = 0;
+                d.payloads[i].take()
+            }
             Table::Direct(m) => {
                 if m.get(&set).is_some_and(|w| w.line == line) {
                     m.remove(&set).map(|w| w.payload)
@@ -530,11 +554,12 @@ impl<P> SetAssocCache<P> {
         dense_direct
             .into_iter()
             .flat_map(|s| s.iter().flatten().map(|(l, p)| (*l, p)))
-            .chain(
-                dense
-                    .into_iter()
-                    .flat_map(|s| s.iter().flatten().map(|w| (w.line, &w.payload))),
-            )
+            .chain(dense.into_iter().flat_map(|d| {
+                d.tags
+                    .iter()
+                    .zip(d.payloads.iter())
+                    .filter_map(|(&t, p)| Some((LineAddr::new(t), p.as_ref()?)))
+            }))
             .chain(
                 direct
                     .into_iter()
@@ -573,7 +598,10 @@ impl<P> SetAssocCache<P> {
     pub fn clear(&mut self) {
         match &mut self.table {
             Table::DenseDirect(slots) => slots.iter_mut().for_each(|s| *s = None),
-            Table::Dense(slots) => slots.iter_mut().for_each(|s| *s = None),
+            Table::Dense(d) => {
+                d.stamps.fill(0);
+                d.payloads.iter_mut().for_each(|p| *p = None);
+            }
             Table::Direct(m) => m.clear(),
             Table::Assoc(m) => m.clear(),
         }

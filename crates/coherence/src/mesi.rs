@@ -104,8 +104,9 @@ impl SharedMesi {
 
     /// LLC bank (and mesh node) serving a line; same interleaving as the
     /// SILO directory homes so both systems see the same traffic spread.
+    #[inline]
     pub fn bank_of(&self, line: LineAddr) -> usize {
-        (line.scramble() % self.banks.len() as u64) as usize
+        line.interleave(self.banks.len())
     }
 
     /// Host-cache prefetch hint for an upcoming access by any core to
@@ -235,8 +236,15 @@ impl SharedMesi {
         let view = self.dir.lookup_view(line);
         // The requester can hold the line in the *other* L1 (an ifetch
         // probing the L1-I while the line sits in the L1-D): its own state
-        // survives and no remote work is needed for reads.
-        let own = self.dir.state_of(line, core);
+        // survives and no remote work is needed for reads. The view names
+        // it: a holder that is not the owner holds S (MESI has no O).
+        let own = if view.mask & (1u64 << core) == 0 {
+            State::I
+        } else {
+            view.owner
+                .filter(|&(o, _)| o == core)
+                .map_or(State::S, |(_, s)| s)
+        };
         let owner = view.owner.filter(|&(o, _)| o != core);
         let mask = view.mask & !(1u64 << core);
         let mut dir_ways = 1u32;
@@ -275,7 +283,7 @@ impl SharedMesi {
                 // Owner degrades to S; a dirty owner writes back into the
                 // LLC so the S copies stay clean (MESI has no O state).
                 if ostate == State::M {
-                    self.fill_llc(line, true, r);
+                    self.fill_llc(bank, line, true, r);
                     r.background.push(Background::L1Writeback { node: o });
                 }
                 self.dir.set_state(line, o, State::S);
@@ -311,7 +319,7 @@ impl SharedMesi {
                 to: core,
             });
             r.served = Some(ServedBy::Memory);
-            self.fill_llc(line, false, r);
+            self.fill_llc(bank, line, false, r);
             if is_write {
                 if mask != 0 {
                     r.steps.push(Step::Invalidations { home: bank, mask });
@@ -334,10 +342,11 @@ impl SharedMesi {
         self.fill_sram(core, line, mr, r);
     }
 
-    /// Installs `line` into its LLC bank with the given dirty bit,
-    /// accounting the fill and any dirty-victim writeback to memory.
-    fn fill_llc(&mut self, line: LineAddr, dirty: bool, r: &mut AccessResult) {
-        let bank = self.bank_of(line);
+    /// Installs `line` into its LLC bank (`bank_of(line)`, which the
+    /// caller has at hand) with the given dirty bit, accounting the fill
+    /// and any dirty-victim writeback to memory.
+    fn fill_llc(&mut self, bank: usize, line: LineAddr, dirty: bool, r: &mut AccessResult) {
+        debug_assert_eq!(bank, self.bank_of(line));
         let dirty_writeback = match self.banks[bank].insert(line, dirty) {
             Some(victim) => victim.payload,
             None => false,
@@ -361,7 +370,7 @@ impl SharedMesi {
                 self.stats.directory_evictions.inc();
             }
             if prev == State::M {
-                self.fill_llc(victim, true, r);
+                self.fill_llc(self.bank_of(victim), victim, true, r);
                 r.background.push(Background::L1Writeback { node: core });
             }
         }

@@ -107,8 +107,9 @@ impl PrivateMoesi {
     }
 
     /// Directory home node of a line (address-interleaved, scrambled).
+    #[inline]
     pub fn home_of(&self, line: LineAddr) -> usize {
-        (line.scramble() % self.nodes.len() as u64) as usize
+        line.interleave(self.nodes.len())
     }
 
     /// Host-cache prefetch hint for an upcoming access by `core` to

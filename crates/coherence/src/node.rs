@@ -117,14 +117,15 @@ impl Node {
     /// both the L1-I and L1-D). The caller (protocol engine) uses this to
     /// keep directory sharer information exact.
     pub fn fill(&mut self, line: LineAddr, kind: AccessKind) -> Option<LineAddr> {
-        let l1 = if kind.is_ifetch() {
-            &mut self.l1i
+        let (l1, other_l1) = if kind.is_ifetch() {
+            (&mut self.l1i, &self.l1d)
         } else {
-            &mut self.l1d
+            (&mut self.l1d, &self.l1i)
         };
         let l1_victim = l1.insert(line, ()).map(|v| v.line);
         let Some(l2) = &mut self.l2 else {
-            return l1_victim.filter(|&v| !self.contains(v));
+            // The L1 that evicted the victim cannot still hold it.
+            return l1_victim.filter(|&v| !other_l1.contains(v));
         };
         let l2_victim = l2.insert(line, ()).map(|v| v.line);
         if let Some(v) = l2_victim {

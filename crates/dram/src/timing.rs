@@ -62,9 +62,6 @@ impl BankedResource {
 pub struct BankArray {
     banks: Vec<BankedResource>,
     service: Cycles,
-    /// `len - 1` when the bank count is a power of two, where
-    /// `scramble & mask` equals `scramble % len` without the division.
-    mask: Option<u64>,
 }
 
 impl BankArray {
@@ -79,7 +76,6 @@ impl BankArray {
         BankArray {
             banks: vec![BankedResource::new(); n_banks],
             service,
-            mask: n_banks.is_power_of_two().then(|| n_banks as u64 - 1),
         }
     }
 
@@ -102,11 +98,7 @@ impl BankArray {
     /// patterns).
     #[inline]
     pub fn bank_of(&self, line: LineAddr) -> usize {
-        let h = line.scramble();
-        match self.mask {
-            Some(mask) => (h & mask) as usize,
-            None => (h % self.banks.len() as u64) as usize,
-        }
+        line.interleave(self.banks.len())
     }
 
     /// Performs an access for `line` arriving at `now`: reserves the

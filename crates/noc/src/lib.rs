@@ -173,7 +173,7 @@ impl Mesh {
     /// Home node for a line under address interleaving (scrambled so
     /// contiguous regions spread across nodes).
     pub fn home_of(&self, line: LineAddr) -> NodeId {
-        NodeId((line.scramble() % self.nodes() as u64) as usize)
+        NodeId(line.interleave(self.nodes()))
     }
 
     /// Sends a message from `a` to `b`, recording traffic on every XY

@@ -123,5 +123,21 @@ pub trait JobEngine: Send + Sync + 'static {
 
     /// Renders the final result document from the job's completed rows
     /// (one per point, in point order).
-    fn document(&self, job: &Self::Job, rows: &[String]) -> String;
+    ///
+    /// # Errors
+    ///
+    /// A message naming the first row the engine cannot read back, such
+    /// as a torn cache file; the daemon answers `500`.
+    fn try_document(&self, job: &Self::Job, rows: &[String]) -> Result<String, String>;
+
+    /// [`JobEngine::try_document`] for rows the caller has just rendered
+    /// with [`JobEngine::run_point`], which read back by construction.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the engine's message if a row does not read back.
+    fn document(&self, job: &Self::Job, rows: &[String]) -> String {
+        self.try_document(job, rows)
+            .unwrap_or_else(|e| panic!("rendered rows must read back: {e}"))
+    }
 }

@@ -1274,7 +1274,8 @@ fn handle_job_status<E: JobEngine>(
 }
 
 /// Blocks until the job completes, then answers with the full document
-/// the engine renders from its rows (bit-identical to a direct run).
+/// the engine renders from its rows (bit-identical to a direct run), or
+/// a `500` naming the first row it could not read back.
 fn handle_result<E: JobEngine>(
     shared: &Shared<E>,
     ctx: &ReqCtx<'_>,
@@ -1301,8 +1302,10 @@ fn handle_result<E: JobEngine>(
                     .map(|r| r.clone().expect("complete job has every row"))
                     .collect();
                 drop(st);
-                let doc = shared.engine.document(&job_arc, &rows);
-                return respond(ctx, w, 200, "application/json", &doc);
+                return match shared.engine.try_document(&job_arc, &rows) {
+                    Ok(doc) => respond(ctx, w, 200, "application/json", &doc),
+                    Err(e) => error_response(ctx, w, 500, &format!("job {id}: {e}")),
+                };
             }
             JobPhase::Active => {
                 if shared.shutdown.load(Ordering::SeqCst) {

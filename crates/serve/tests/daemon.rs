@@ -150,8 +150,8 @@ impl JobEngine for MockEngine {
         })
     }
 
-    fn document(&self, job: &MockJob, rows: &[String]) -> String {
-        format!("{} [{}]\n", job.name, rows.join(","))
+    fn try_document(&self, job: &MockJob, rows: &[String]) -> Result<String, String> {
+        Ok(format!("{} [{}]\n", job.name, rows.join(",")))
     }
 }
 

@@ -199,7 +199,11 @@ pub fn evaluate(reps: &[Json], base: &Json, min_tolerance: f64) -> GateReport {
         else {
             continue;
         };
-        if base_rps <= 0.0 || median_rps <= 0.0 {
+        // A rate that is not finite and positive has no meaningful
+        // ratio: an overflowing literal in a trajectory file parses as
+        // infinity, and infinity over infinity is NaN.
+        let usable = |rps: f64| rps.is_finite() && rps > 0.0;
+        if !usable(base_rps) || !usable(median_rps) {
             continue;
         }
         let spread = (hi - lo) / median_rps;
@@ -370,6 +374,15 @@ mod tests {
         let now = vec![rows(&[10.0, 5.0])];
         let report = evaluate(&now, &base, DEFAULT_MIN_TOLERANCE);
         assert_eq!(report.rows.len(), 1, "sys1 has no baseline counterpart");
+    }
+
+    #[test]
+    fn rows_without_a_finite_positive_rate_are_skipped() {
+        // A 0 ms wall clock renders as an infinite rate.
+        let base = base_for(&[10.0, 0.0]);
+        let report = evaluate(std::slice::from_ref(&base), &base, DEFAULT_MIN_TOLERANCE);
+        assert_eq!(report.rows.len(), 1, "the infinite row is skipped");
+        assert_eq!(report.verdict, Verdict::Pass);
     }
 
     #[test]

@@ -72,9 +72,8 @@ impl JobEngine for SimJobEngine {
         })
     }
 
-    fn document(&self, job: &SimJob, rows: &[String]) -> String {
+    fn try_document(&self, job: &SimJob, rows: &[String]) -> Result<String, String> {
         canon::document_from_rows(rows, job.spec.seed)
-            .expect("cached rows are rows this engine rendered")
     }
 }
 

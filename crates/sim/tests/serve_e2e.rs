@@ -287,3 +287,57 @@ fn interrupted_sweep_resumes_from_cached_rows() {
     resumed.shutdown();
     resumed.join();
 }
+
+#[test]
+fn torn_cached_row_answers_a_typed_500_and_the_daemon_keeps_serving() {
+    let dir = temp_dir("torn");
+    let server = start(
+        SimJobEngine,
+        ServeConfig {
+            addr: "127.0.0.1:0".to_string(),
+            cache_dir: dir.clone(),
+            ..ServeConfig::default()
+        },
+    )
+    .expect("daemon starts");
+    let addr = server.addr();
+    let one_point = SCENARIO.replace("scale = 64, 128", "scale = 64");
+    let (status, body) = submit(addr, "torn", &one_point);
+    let (status, _) = get(addr, &format!("/jobs/{}/result", job_id(status, &body)));
+    assert_eq!(status, 200);
+
+    // Tear the job's one cached row, as a crash mid-copy would.
+    let shard = std::fs::read_dir(dir.join("rows"))
+        .expect("row cache directory")
+        .next()
+        .expect("one shard")
+        .expect("shard entry")
+        .path();
+    let rows: Vec<PathBuf> = std::fs::read_dir(shard)
+        .expect("shard directory")
+        .map(|e| e.expect("row entry").path())
+        .collect();
+    assert_eq!(rows.len(), 1, "{rows:?}");
+    std::fs::write(&rows[0], "{\"workload\":").expect("tear the row");
+
+    let (status, body) = submit(addr, "torn", &one_point);
+    assert!(body.contains("\"cached\":1"), "{body}");
+    let id = job_id(status, &body);
+    assert_eq!(id, 2);
+    let (status, body) = get(addr, &format!("/jobs/{id}/result"));
+    assert_eq!(status, 500, "{body}");
+    let error = Json::parse(&body).expect("the 500 carries a JSON body");
+    let message = error
+        .get("error")
+        .and_then(Json::as_str)
+        .unwrap_or_else(|| panic!("no error field in: {body}"));
+    assert!(
+        message.contains("row 0"),
+        "the error names the row: {message}"
+    );
+
+    let (status, body) = get(addr, "/status");
+    assert_eq!(status, 200, "the daemon still answers: {body}");
+    server.shutdown();
+    server.join();
+}

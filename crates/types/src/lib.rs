@@ -142,6 +142,26 @@ impl LineAddr {
         z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
         z ^ (z >> 31)
     }
+
+    /// Which of `n` address-interleaved units (LLC banks, directory
+    /// homes, DRAM banks) serves this line: `scramble() % n`, taken as a
+    /// mask when `n` is a power of two, which names the same unit
+    /// without the 64-bit division.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` is zero.
+    #[inline]
+    pub fn interleave(self, n: usize) -> usize {
+        let h = self.scramble();
+        let n = n as u64;
+        let unit = if n.is_power_of_two() {
+            h & (n - 1)
+        } else {
+            h % n
+        };
+        unit as usize
+    }
 }
 
 impl fmt::Debug for LineAddr {
