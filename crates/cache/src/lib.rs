@@ -3,10 +3,9 @@
 //! Provides the storage-side building blocks used by every evaluated
 //! system (Sec. V-A, Table II):
 //!
-//! * [`SetAssocCache`] — a sparse set-associative cache array with
-//!   pluggable replacement, used for L1s, private L2s, the shared NUCA
-//!   SRAM/eDRAM LLCs, and (with one way) the direct-mapped TAD-organized
-//!   DRAM cache vaults of SILO.
+//! * [`SetAssocCache`] — a set-associative cache array with pluggable
+//!   replacement, used for L1s, private L2s and the shared NUCA
+//!   SRAM/eDRAM LLCs.
 //! * [`PageCache`] — the page-based conventional DRAM cache of the
 //!   `Baseline+DRAM$` system.
 //! * [`MissMap`] — a page-granular presence map used as the local-vault
@@ -18,7 +17,7 @@
 
 // Policy: unsafe is denied workspace-wide (every other crate is
 // `forbid`); the single exception is the `_mm_prefetch` host-cache
-// hint in `set_assoc`, which carries its own `#[allow]` + SAFETY note
+// hint in [`prefetch`], which carries its own `#[allow]` + SAFETY note
 // and is compiled out under Miri.
 #![deny(unsafe_code)]
 
@@ -29,3 +28,28 @@ pub mod set_assoc;
 pub use missmap::MissMap;
 pub use page::PageCache;
 pub use set_assoc::{EvictionVictim, ReplacementPolicy, SetAssocCache};
+
+/// Hints the host CPU to pull the cache line holding `value` into its
+/// caches ahead of an upcoming read. Purely a performance hint: it
+/// reads and writes nothing, so issuing it (or not) can never change
+/// simulation results. The coherence engines call it one round-robin
+/// turn ahead of each reference, hiding the host-memory latency of
+/// their multi-MB slot arrays. A no-op on hosts other than x86-64.
+#[inline]
+#[allow(unsafe_code)] // the crate-level deny's single exception
+pub fn prefetch<T>(value: &T) {
+    // Compiled out under Miri: `_mm_prefetch` is a vendor intrinsic the
+    // interpreter does not model, and skipping a pure hint cannot change
+    // behaviour — this is the only unsafe block in the workspace (every
+    // other crate is `#![forbid(unsafe_code)]`).
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    // SAFETY: the pointer comes from a live reference, and a prefetch
+    // hint cannot fault or write.
+    unsafe {
+        std::arch::x86_64::_mm_prefetch::<{ std::arch::x86_64::_MM_HINT_T0 }>(
+            (value as *const T).cast::<i8>(),
+        );
+    }
+    #[cfg(not(all(target_arch = "x86_64", not(miri))))]
+    let _ = value;
+}

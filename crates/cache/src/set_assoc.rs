@@ -1,21 +1,23 @@
-//! Sparse set-associative cache array with pluggable replacement.
+//! Set-associative cache array with pluggable replacement.
 //!
 //! The array stores an arbitrary payload per resident line (coherence
-//! state, dirty bit, ...). Sets are allocated lazily in a hash map so that
-//! multi-hundred-MB caches cost memory proportional to the lines actually
-//! touched, which is what makes full-capacity vault simulation cheap.
+//! state, dirty bit, ...). Small arrays are flat slot vectors; beyond
+//! 64 Ki lines sets are allocated lazily in a hash map, so that
+//! multi-hundred-MB caches cost memory proportional to the lines
+//! actually touched.
 
 use silo_types::hash::{fx_map_with_capacity, FxHashMap};
 use silo_types::{ByteSize, LineAddr};
+
+use crate::prefetch;
 
 /// Upper bound on the number of set buckets reserved up front.
 ///
 /// Pre-sizing avoids rehash-and-move cycles while a run warms the
 /// cache, but a full-capacity reservation would defeat the sparse
-/// design (a scale-1 vault has millions of sets, almost all untouched).
-/// 4096 buckets covers every SRAM-sized array completely and gives the
-/// large DRAM-vault tables a rehash-free head start at negligible
-/// memory cost.
+/// design (a full-scale LLC bank has many sets, most untouched in a
+/// short run). 4096 buckets gives the large tables a rehash-free head
+/// start at negligible memory cost.
 const PRESIZE_SETS: u64 = 1 << 12;
 
 /// Replacement policy for a set.
@@ -48,8 +50,8 @@ struct Way<P> {
 /// Storage-dense arrays up to this many lines (`sets * ways`) skip the
 /// hash map for a flat slot vector indexed by set: every probe becomes
 /// an offset instead of a hash + bucket walk. 64 Ki lines covers every
-/// SRAM array and the scale-64 DRAM vaults at a few MB apiece, while
-/// full-scale vaults (millions of lines) stay sparse.
+/// SRAM array and the scale-64 LLC banks at a few MB apiece, while
+/// full-scale arrays stay sparse.
 const DENSE_MAX_LINES: u64 = 1 << 16;
 
 /// Backing store, specialized by geometry.
@@ -67,20 +69,13 @@ const DENSE_MAX_LINES: u64 = 1 << 16;
 ///   stamps are globally unique, so the LRU victim is identified by
 ///   stamp value alone, never by slot order; it is therefore not used
 ///   for multi-way `Random` arrays, whose victim pick is order-sensitive.
-/// * `DenseDirect` — dense direct-mapped (`ways == 1`, either policy).
-/// * `Direct` — sparse direct-mapped (`ways == 1`, e.g. a full-scale
-///   SILO vault, Sec. V-A): the single way inline in the map entry.
+///   A direct-mapped (`ways == 1`) array is dense under either policy:
+///   with one way the victim is always the sole resident line, so
+///   neither recency nor the victim pick can be observed.
 /// * `Assoc` — sparse set-associative: lazily allocated way lists.
 #[derive(Clone, Debug)]
 enum Table<P> {
-    /// Direct-mapped dense: one `(line, payload)` slot per set, no
-    /// recency stamp — with a single way the victim is always the sole
-    /// resident line, so recency is unobservable and the slot shrinks
-    /// to half a `Way`. This is the layout of every scale-64 vault, the
-    /// hottest array in a SILO run; a probe reads one host line.
-    DenseDirect(Box<[Option<(LineAddr, P)>]>),
     Dense(Dense<P>),
-    Direct(FxHashMap<u64, Way<P>>),
     Assoc(FxHashMap<u64, Vec<Way<P>>>),
 }
 
@@ -115,9 +110,6 @@ impl<P> Dense<P> {
 }
 
 /// A set-associative cache keyed by [`LineAddr`] with payload `P`.
-///
-/// With `ways == 1` this degenerates to the direct-mapped organization
-/// SILO uses for its DRAM cache vaults (Sec. V-A).
 ///
 /// # Examples
 ///
@@ -154,16 +146,8 @@ impl<P> SetAssocCache<P> {
         assert!(ways > 0, "need at least one way");
         let buckets = sets.min(PRESIZE_SETS) as usize;
         let lines = sets.saturating_mul(ways as u64);
-        let table = if lines <= DENSE_MAX_LINES && ways == 1 {
-            Table::DenseDirect(
-                std::iter::repeat_with(|| None)
-                    .take(lines as usize)
-                    .collect(),
-            )
-        } else if lines <= DENSE_MAX_LINES && policy == ReplacementPolicy::Lru {
+        let table = if lines <= DENSE_MAX_LINES && (ways == 1 || policy == ReplacementPolicy::Lru) {
             Table::Dense(Dense::new(lines as usize))
-        } else if ways == 1 {
-            Table::Direct(fx_map_with_capacity(buckets))
         } else {
             Table::Assoc(fx_map_with_capacity(buckets))
         };
@@ -235,9 +219,7 @@ impl<P> SetAssocCache<P> {
     /// Lines currently resident.
     pub fn len(&self) -> usize {
         match &self.table {
-            Table::DenseDirect(slots) => slots.iter().filter(|s| s.is_some()).count(),
             Table::Dense(d) => d.stamps.iter().filter(|&&s| s != 0).count(),
-            Table::Direct(m) => m.len(),
             Table::Assoc(m) => m.values().map(Vec::len).sum(),
         }
     }
@@ -245,9 +227,7 @@ impl<P> SetAssocCache<P> {
     /// True when nothing is cached.
     pub fn is_empty(&self) -> bool {
         match &self.table {
-            Table::DenseDirect(slots) => slots.iter().all(Option::is_none),
             Table::Dense(d) => d.stamps.iter().all(|&s| s == 0),
-            Table::Direct(m) => m.is_empty(),
             Table::Assoc(m) => m.is_empty(),
         }
     }
@@ -263,32 +243,14 @@ impl<P> SetAssocCache<P> {
     /// performance hint: recency, counters, and contents are untouched,
     /// so issuing it (or not) can never change simulation results. The
     /// run loop issues these one round-robin turn ahead, hiding the
-    /// host-memory latency of the multi-MB dense vault arrays. Sparse
+    /// host-memory latency of the multi-MB dense LLC bank arrays. Sparse
     /// tables hash-probe, so they have no slot address to hint and the
-    /// call is a no-op (as on non-x86 hosts).
+    /// call is a no-op.
     #[inline]
-    #[allow(unsafe_code)] // the crate-level deny's single exception
     pub fn prefetch(&self, line: LineAddr) {
-        // Compiled out under Miri: `_mm_prefetch` is a vendor intrinsic
-        // the interpreter does not model, and skipping a pure hint
-        // cannot change behaviour — this is the only unsafe block in the
-        // workspace (every other crate is `#![forbid(unsafe_code)]`).
-        #[cfg(all(target_arch = "x86_64", not(miri)))]
-        {
-            let set = self.set_of(line) as usize;
-            let ptr = match &self.table {
-                Table::DenseDirect(slots) => std::ptr::addr_of!(slots[set]).cast::<i8>(),
-                Table::Dense(d) => std::ptr::addr_of!(d.tags[set * self.ways]).cast::<i8>(),
-                Table::Direct(_) | Table::Assoc(_) => return,
-            };
-            // SAFETY: the slot index is in bounds by construction, and a
-            // prefetch hint cannot fault or write.
-            unsafe {
-                std::arch::x86_64::_mm_prefetch::<{ std::arch::x86_64::_MM_HINT_T0 }>(ptr);
-            }
+        if let Table::Dense(d) = &self.table {
+            prefetch(&d.tags[self.set_of(line) as usize * self.ways]);
         }
-        #[cfg(not(all(target_arch = "x86_64", not(miri))))]
-        let _ = line;
     }
 
     /// Looks up a line, updating recency on hit. Counts hit/miss stats.
@@ -299,21 +261,10 @@ impl<P> SetAssocCache<P> {
         let set = self.set_of(line);
         let ways_n = self.ways;
         let hit = match &mut self.table {
-            Table::DenseDirect(slots) => match &mut slots[set as usize] {
-                Some((l, p)) if *l == line => Some(p),
-                _ => None,
-            },
             Table::Dense(d) => d.find(set as usize * ways_n, ways_n, line).and_then(|i| {
                 d.stamps[i] = tick;
                 d.payloads[i].as_mut()
             }),
-            Table::Direct(m) => match m.get_mut(&set) {
-                Some(w) if w.line == line => {
-                    w.stamp = tick;
-                    Some(&mut w.payload)
-                }
-                _ => None,
-            },
             Table::Assoc(m) => match m.get_mut(&set) {
                 Some(ways) => ways.iter_mut().find(|w| w.line == line).map(|w| {
                     w.stamp = tick;
@@ -334,17 +285,9 @@ impl<P> SetAssocCache<P> {
     pub fn peek(&self, line: LineAddr) -> Option<&P> {
         let set = self.set_of(line);
         match &self.table {
-            Table::DenseDirect(slots) => match &slots[set as usize] {
-                Some((l, p)) if *l == line => Some(p),
-                _ => None,
-            },
             Table::Dense(d) => d
                 .find(set as usize * self.ways, self.ways, line)
                 .and_then(|i| d.payloads[i].as_ref()),
-            Table::Direct(m) => match m.get(&set) {
-                Some(w) if w.line == line => Some(&w.payload),
-                _ => None,
-            },
             Table::Assoc(m) => m
                 .get(&set)?
                 .iter()
@@ -357,17 +300,9 @@ impl<P> SetAssocCache<P> {
     pub fn peek_mut(&mut self, line: LineAddr) -> Option<&mut P> {
         let set = self.set_of(line);
         match &mut self.table {
-            Table::DenseDirect(slots) => match &mut slots[set as usize] {
-                Some((l, p)) if *l == line => Some(p),
-                _ => None,
-            },
             Table::Dense(d) => d
                 .find(set as usize * self.ways, self.ways, line)
                 .and_then(|i| d.payloads[i].as_mut()),
-            Table::Direct(m) => match m.get_mut(&set) {
-                Some(w) if w.line == line => Some(&mut w.payload),
-                _ => None,
-            },
             Table::Assoc(m) => m
                 .get_mut(&set)?
                 .iter_mut()
@@ -391,32 +326,11 @@ impl<P> SetAssocCache<P> {
         let set = self.set_of(line);
         let ways_n = self.ways;
         let evicted = match &mut self.table {
-            Table::DenseDirect(slots) => {
-                let slot = &mut slots[set as usize];
-                match slot {
-                    Some((l, p)) if *l == line => {
-                        *p = payload;
-                        return None;
-                    }
-                    Some(_) => {
-                        let old = slot.replace((line, payload)).expect("slot resident");
-                        Some(Way {
-                            line: old.0,
-                            payload: old.1,
-                            stamp: 0,
-                        })
-                    }
-                    None => {
-                        *slot = Some((line, payload));
-                        return None;
-                    }
-                }
-            }
             Table::Dense(d) => {
                 // One pass over the set: the resident copy of `line`, else
                 // the first empty slot, else the least-recent way (stamps
-                // are unique, so the minimum is unambiguous). Dense tables
-                // are LRU only (see `Table`).
+                // are unique, so the minimum is unambiguous). Multi-way
+                // dense tables are LRU only (see `Table`).
                 let base = set as usize * ways_n;
                 let tags = &d.tags[base..base + ways_n];
                 let stamps = &d.stamps[base..base + ways_n];
@@ -443,28 +357,6 @@ impl<P> SetAssocCache<P> {
                     payload,
                     stamp: 0,
                 })
-            }
-            Table::Direct(m) => {
-                let new_way = Way {
-                    line,
-                    payload,
-                    stamp: tick,
-                };
-                match m.entry(set) {
-                    std::collections::hash_map::Entry::Occupied(mut o) => {
-                        let w = o.get_mut();
-                        if w.line == line {
-                            *w = new_way;
-                            return None;
-                        }
-                        // The sole way is the victim under either policy.
-                        Some(std::mem::replace(w, new_way))
-                    }
-                    std::collections::hash_map::Entry::Vacant(v) => {
-                        v.insert(new_way);
-                        return None;
-                    }
-                }
             }
             Table::Assoc(m) => {
                 let new_way = Way {
@@ -510,25 +402,10 @@ impl<P> SetAssocCache<P> {
     pub fn invalidate(&mut self, line: LineAddr) -> Option<P> {
         let set = self.set_of(line);
         match &mut self.table {
-            Table::DenseDirect(slots) => {
-                let slot = &mut slots[set as usize];
-                if slot.as_ref().is_some_and(|(l, _)| *l == line) {
-                    slot.take().map(|(_, p)| p)
-                } else {
-                    None
-                }
-            }
             Table::Dense(d) => {
                 let i = d.find(set as usize * self.ways, self.ways, line)?;
                 d.stamps[i] = 0;
                 d.payloads[i].take()
-            }
-            Table::Direct(m) => {
-                if m.get(&set).is_some_and(|w| w.line == line) {
-                    m.remove(&set).map(|w| w.payload)
-                } else {
-                    None
-                }
             }
             Table::Assoc(m) => {
                 let ways = m.get_mut(&set)?;
@@ -545,26 +422,18 @@ impl<P> SetAssocCache<P> {
     /// Iterates over all resident (line, payload) pairs in arbitrary
     /// order; used by invariant checks and warm-state inspection.
     pub fn iter(&self) -> impl Iterator<Item = (LineAddr, &P)> {
-        let (dense_direct, dense, direct, assoc) = match &self.table {
-            Table::DenseDirect(s) => (Some(s), None, None, None),
-            Table::Dense(s) => (None, Some(s), None, None),
-            Table::Direct(m) => (None, None, Some(m), None),
-            Table::Assoc(m) => (None, None, None, Some(m)),
+        let (dense, assoc) = match &self.table {
+            Table::Dense(s) => (Some(s), None),
+            Table::Assoc(m) => (None, Some(m)),
         };
-        dense_direct
+        dense
             .into_iter()
-            .flat_map(|s| s.iter().flatten().map(|(l, p)| (*l, p)))
-            .chain(dense.into_iter().flat_map(|d| {
+            .flat_map(|d| {
                 d.tags
                     .iter()
                     .zip(d.payloads.iter())
                     .filter_map(|(&t, p)| Some((LineAddr::new(t), p.as_ref()?)))
-            }))
-            .chain(
-                direct
-                    .into_iter()
-                    .flat_map(|m| m.values().map(|w| (w.line, &w.payload))),
-            )
+            })
             .chain(assoc.into_iter().flat_map(|m| {
                 m.values()
                     .flat_map(|ways| ways.iter().map(|w| (w.line, &w.payload)))
@@ -597,12 +466,10 @@ impl<P> SetAssocCache<P> {
     /// Drops all contents and statistics.
     pub fn clear(&mut self) {
         match &mut self.table {
-            Table::DenseDirect(slots) => slots.iter_mut().for_each(|s| *s = None),
             Table::Dense(d) => {
                 d.stamps.fill(0);
                 d.payloads.iter_mut().for_each(|p| *p = None);
             }
-            Table::Direct(m) => m.clear(),
             Table::Assoc(m) => m.clear(),
         }
         self.tick = 0;
@@ -765,8 +632,8 @@ mod tests {
         assert!(c.peek_mut(LineAddr::new(2)).is_none());
     }
 
-    /// Sets × ways beyond [`DENSE_MAX_LINES`], forcing the sparse
-    /// direct-mapped layout (a full-scale SILO vault).
+    /// Sets × ways beyond [`DENSE_MAX_LINES`] at one way, forcing the
+    /// sparse layout for a direct-mapped array.
     fn sparse_direct() -> SetAssocCache<u32> {
         SetAssocCache::new(DENSE_MAX_LINES * 2, 1, ReplacementPolicy::Lru)
     }
@@ -781,7 +648,7 @@ mod tests {
     fn sparse_direct_mapped_conflicts_like_dense() {
         let mut c = sparse_direct();
         assert!(
-            matches!(c.table, Table::Direct(_)),
+            matches!(c.table, Table::Assoc(_)),
             "layout above the dense bound"
         );
         let sets = c.sets();
@@ -824,9 +691,9 @@ mod tests {
     #[test]
     fn prefetch_is_inert_on_every_layout() {
         let mut caches = [
-            SetAssocCache::new(4, 1, ReplacementPolicy::Lru), // DenseDirect
+            SetAssocCache::new(4, 1, ReplacementPolicy::Lru), // Dense, direct-mapped
             SetAssocCache::new(4, 2, ReplacementPolicy::Lru), // Dense
-            sparse_direct(),                                  // Direct
+            sparse_direct(),                                  // Assoc, one way
             sparse_assoc(),                                   // Assoc
         ];
         for c in &mut caches {

@@ -2,8 +2,8 @@
 //! reference LRU model.
 //!
 //! The cache picks its table from the geometry: `Dense` for small LRU
-//! arrays with more than one way, `DenseDirect` for small direct-mapped
-//! ones, and the sparse `Direct`/`Assoc` maps beyond 64 Ki lines. Each
+//! arrays and small direct-mapped ones under either policy, and the
+//! sparse `Assoc` map beyond 64 Ki lines. Each
 //! layout here runs seeded streams of every public operation over a
 //! pool of about 40 lines, crowded into a few sets so that the sets
 //! overflow and evict. After every operation the test compares return
@@ -75,7 +75,7 @@ const LAYOUTS: &[Layout] = &[
         policy: ReplacementPolicy::Lru,
     },
     Layout {
-        name: "DenseDirect",
+        name: "Dense direct-mapped",
         sets: 16,
         ways: 1,
         policy: ReplacementPolicy::Lru,
@@ -83,13 +83,13 @@ const LAYOUTS: &[Layout] = &[
     // With one way the victim is the sole resident line under either
     // policy, so a direct-mapped `Random` array matches the LRU model.
     Layout {
-        name: "DenseDirect (random policy)",
+        name: "Dense direct-mapped (random policy)",
         sets: 16,
         ways: 1,
         policy: ReplacementPolicy::Random,
     },
     Layout {
-        name: "Direct (sparse)",
+        name: "Assoc direct-mapped (sparse)",
         sets: DENSE_MAX_LINES * 2,
         ways: 1,
         policy: ReplacementPolicy::Lru,

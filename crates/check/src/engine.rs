@@ -11,8 +11,7 @@
 //! accidents.
 
 use silo_coherence::{
-    AccessResult, DuplicateTagDirectory, NodeSpec, PrivateMoesi, PrivateMoesiConfig, SharedMesi,
-    SharedMesiConfig, State,
+    AccessResult, NodeSpec, PrivateMoesi, PrivateMoesiConfig, SharedMesi, SharedMesiConfig, State,
 };
 use silo_types::{ByteSize, LineAddr, MemRef};
 
@@ -55,8 +54,9 @@ pub trait ModelEngine {
     /// Executes one reference from `node` (the same entry point the
     /// simulation loop drives).
     fn access(&mut self, node: usize, mr: MemRef) -> AccessResult;
-    /// The functional directory (states, masks, owner caches).
-    fn directory(&self) -> &DuplicateTagDirectory;
+    /// The coherence state the directory records for `line` at `node`
+    /// (I when the node holds no copy).
+    fn state_of(&self, node: usize, line: LineAddr) -> State;
     /// True when `node`'s private SRAM holds the line.
     fn cached_in_sram(&self, node: usize, line: LineAddr) -> bool;
     /// The shared backing level's view of the line: `Some(dirty)` when
@@ -66,8 +66,9 @@ pub trait ModelEngine {
     /// True when some component still holds the line's data dirty with
     /// respect to main memory (an M/O copy, or a dirty LLC line).
     fn has_dirty_holder(&self, line: LineAddr) -> bool;
-    /// The engine's own structural invariants (directory caches,
-    /// directory/cache-tag agreement, occupancy).
+    /// The engine's own structural invariants (SILO: the MOESI
+    /// invariants over its vault rows; the baseline: directory caches
+    /// and directory/SRAM agreement).
     ///
     /// # Errors
     ///
@@ -86,8 +87,8 @@ impl ModelEngine for PrivateMoesi {
     fn access(&mut self, node: usize, mr: MemRef) -> AccessResult {
         PrivateMoesi::access(self, node, mr)
     }
-    fn directory(&self) -> &DuplicateTagDirectory {
-        PrivateMoesi::directory(self)
+    fn state_of(&self, node: usize, line: LineAddr) -> State {
+        self.vault_state(node, line)
     }
     fn cached_in_sram(&self, node: usize, line: LineAddr) -> bool {
         self.sram_contains(node, line)
@@ -96,8 +97,7 @@ impl ModelEngine for PrivateMoesi {
         None
     }
     fn has_dirty_holder(&self, line: LineAddr) -> bool {
-        let dir = PrivateMoesi::directory(self);
-        (0..self.n_cores()).any(|n| dir.state_of(line, n).is_dirty())
+        (0..self.n_cores()).any(|n| self.vault_state(n, line).is_dirty())
     }
     fn check(&self) -> Result<(), String> {
         PrivateMoesi::check(self)
@@ -121,8 +121,8 @@ impl ModelEngine for SharedMesi {
     fn access(&mut self, node: usize, mr: MemRef) -> AccessResult {
         SharedMesi::access(self, node, mr)
     }
-    fn directory(&self) -> &DuplicateTagDirectory {
-        SharedMesi::directory(self)
+    fn state_of(&self, node: usize, line: LineAddr) -> State {
+        self.directory().state_of(line, node)
     }
     fn cached_in_sram(&self, node: usize, line: LineAddr) -> bool {
         self.sram_contains(node, line)

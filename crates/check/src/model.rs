@@ -7,8 +7,8 @@
 //! checking the protocol invariants at every state and transition.
 //!
 //! States are reconstructed by replaying the operation path from the
-//! initial state rather than cloned: engines presize their directory
-//! tables for full-scale runs, so a clone per state would cost far more
+//! initial state rather than cloned: engines size their vault rows and
+//! directory tables for full-scale runs, so a clone per state would cost far more
 //! than replaying a BFS-shallow prefix of cheap accesses in a 4-line
 //! world. The same parent links double as the counterexample trace.
 
@@ -125,9 +125,9 @@ impl Tally {
 
 /// The first node holding `line` in an owner-like state, with that
 /// state.
-fn owner_of(dir: &DuplicateTagDirectory, n_nodes: usize, line: LineAddr) -> Option<(usize, State)> {
+fn owner_of<E: ModelEngine>(e: &E, n_nodes: usize, line: LineAddr) -> Option<(usize, State)> {
     (0..n_nodes).find_map(|node| {
-        let s = dir.state_of(line, node);
+        let s = e.state_of(node, line);
         s.is_ownerlike().then_some((node, s))
     })
 }
@@ -141,7 +141,7 @@ fn fingerprint<E: ModelEngine>(e: &E, lines: &[LineAddr], n_nodes: usize) -> Vec
     let mut fp = Vec::with_capacity(lines.len() * (n_nodes + 1));
     for &line in lines {
         for node in 0..n_nodes {
-            let s = e.directory().state_of(line, node).to_bits();
+            let s = e.state_of(node, line).to_bits();
             let sram = u8::from(e.cached_in_sram(node, line));
             fp.push((s << 1) | sram);
         }
@@ -170,7 +170,7 @@ fn check_state<E: ModelEngine>(
 ) -> bool {
     for &line in lines {
         states_buf.clear();
-        states_buf.extend((0..n_nodes).map(|node| e.directory().state_of(line, node)));
+        states_buf.extend((0..n_nodes).map(|node| e.state_of(node, line)));
 
         let writers = states_buf.iter().filter(|s| s.can_write_silently()).count();
         let valid = states_buf.iter().filter(|s| s.is_valid()).count();
@@ -344,7 +344,7 @@ fn check_transition<E: ModelEngine>(
     // differ (the paper's O-state forwarding vs writeback degradation).
     if let Some((o, ostate)) = pre_owner {
         if !op.write && o != op.node && ostate.is_dirty() && r.llc_access {
-            let post = e.directory().state_of(op.line, o);
+            let post = e.state_of(o, op.line);
             let memory_write = r
                 .background
                 .iter()
@@ -489,7 +489,7 @@ pub fn explore<E: ModelEngine>(
             for (i, &line) in world.lines.iter().enumerate() {
                 pre_dirty[i] = e.has_dirty_holder(line);
             }
-            let pre_owner = owner_of(e.directory(), n_nodes, op.line);
+            let pre_owner = owner_of(&e, n_nodes, op.line);
 
             let r = e.access(op.node, op.mem_ref());
             transitions += 1;

@@ -139,8 +139,8 @@ impl ModelEngine for BrokenMsi {
         r
     }
 
-    fn directory(&self) -> &DuplicateTagDirectory {
-        &self.dir
+    fn state_of(&self, node: usize, line: LineAddr) -> State {
+        self.dir.state_of(line, node)
     }
     fn cached_in_sram(&self, node: usize, line: LineAddr) -> bool {
         self.dir.state_of(line, node).is_valid()

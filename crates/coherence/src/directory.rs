@@ -1,16 +1,22 @@
-//! Duplicate-tag directory (Sec. V-B, Fig. 9).
+//! A line-keyed duplicate-tag directory of private copies.
 //!
-//! The directory is logically an N-way-associative tag store where N is
-//! the core count: the way position of an entry encodes which core's
-//! vault caches the block, so no sharing vector is needed. Finding the
-//! sharers of a block reads all N ways; most updates touch one entry, but
-//! a full-set transition (e.g. a block shared by every core moving to
-//! exclusive) touches N.
+//! Per tracked line it records one coherence state per node, the way
+//! position standing for the node (the layout of the paper's Fig. 9),
+//! so no sharing vector is needed. Finding the sharers of a line reads
+//! all N ways; most updates touch one entry.
 //!
-//! Physically the directory is distributed across the vaults in an
-//! address-interleaved fashion; this structure is the *functional*
-//! content, and the engine emits `DirLookup`/`DirUpdate` steps against the
-//! home node so the simulator charges the DRAM accesses.
+//! Two users remain:
+//!
+//! * [`SharedMesi`](crate::SharedMesi)'s L1 directory. The baseline's
+//!   SRAM levels sit over a non-inclusive shared LLC, so the directory
+//!   cannot live in the LLC's tags and is kept here, as a hash map of
+//!   the lines some core's SRAM holds.
+//! * The model checker's packed-entry scratch, which replays every
+//!   reachable state vector through both entry forms.
+//!
+//! SILO does not use it: its vault tags already form the directory (see
+//! [`moesi`](crate::moesi)). The engine emits `DirUpdate` background
+//! work against the home node so the simulator charges the accesses.
 
 use crate::state::State;
 use silo_types::hash::{fx_map_with_capacity, FxHashMap};
@@ -181,8 +187,6 @@ impl Entry {
 pub struct DuplicateTagDirectory {
     n_nodes: usize,
     entries: FxHashMap<LineAddr, Entry>,
-    lookups: u64,
-    updates: u64,
 }
 
 impl DuplicateTagDirectory {
@@ -199,8 +203,6 @@ impl DuplicateTagDirectory {
         DuplicateTagDirectory {
             n_nodes,
             entries: fx_map_with_capacity(PRESIZE_LINES),
-            lookups: 0,
-            updates: 0,
         }
     }
 
@@ -214,22 +216,18 @@ impl DuplicateTagDirectory {
         self.entries.get(&line).map_or(State::I, |e| e.get(node))
     }
 
-    /// Records a directory lookup (sharer scan) and iterates the
-    /// per-node states without allocating (I for absent). Same
-    /// accounting as [`DuplicateTagDirectory::lookup_view`].
-    pub fn lookup_states(&mut self, line: LineAddr) -> impl Iterator<Item = State> + '_ {
-        self.lookups += 1;
+    /// Iterates the per-node states of `line` without allocating (I for
+    /// absent).
+    pub fn lookup_states(&self, line: LineAddr) -> impl Iterator<Item = State> + '_ {
         let entry = self.entries.get(&line);
         (0..self.n_nodes).map(move |n| entry.map_or(State::I, |e| e.get(n)))
     }
 
-    /// Records a directory lookup and returns the compact per-line view
-    /// the protocol engines act on: the holder bitmask and the owner-like
-    /// node with its state (at most one, by the single-writer invariant).
-    /// O(1): both fields are maintained incrementally by
-    /// [`DuplicateTagDirectory::set_state`].
-    pub fn lookup_view(&mut self, line: LineAddr) -> DirView {
-        self.lookups += 1;
+    /// The compact per-line view the protocol engine acts on: the
+    /// holder bitmask and the owner-like node with its state (at most
+    /// one, by the single-writer invariant). O(1): both fields are
+    /// maintained incrementally by [`DuplicateTagDirectory::set_state`].
+    pub fn lookup_view(&self, line: LineAddr) -> DirView {
         match self.entries.get(&line) {
             None => DirView {
                 mask: 0,
@@ -246,7 +244,6 @@ impl DuplicateTagDirectory {
     /// the entry as needed. Returns the previous state.
     pub fn set_state(&mut self, line: LineAddr, node: usize, state: State) -> State {
         assert!(node < self.n_nodes, "node {node} out of range");
-        self.updates += 1;
         match self.entries.get_mut(&line) {
             Some(e) => {
                 let prev = e.get(node);
@@ -291,18 +288,6 @@ impl DuplicateTagDirectory {
         self.entries.get(&line).map_or(0, Entry::mask)
     }
 
-    /// Lowest-numbered node holding the line in any valid state,
-    /// excluding `except`.
-    pub fn first_holder_except(&self, line: LineAddr, except: usize) -> Option<usize> {
-        let m = self.entries.get(&line)?.mask() & !(1u64 << except);
-        (m != 0).then(|| m.trailing_zeros() as usize)
-    }
-
-    /// True when no node caches the line.
-    pub fn is_uncached(&self, line: LineAddr) -> bool {
-        !self.entries.contains_key(&line)
-    }
-
     /// Number of tracked lines.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -311,27 +296,6 @@ impl DuplicateTagDirectory {
     /// True when the directory tracks nothing.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// Lookup operations performed.
-    pub fn lookups(&self) -> u64 {
-        self.lookups
-    }
-
-    /// Update operations performed.
-    pub fn updates(&self) -> u64 {
-        self.updates
-    }
-
-    /// Total valid copies tracked across all lines: the sum of holder
-    /// populations. For an inclusive hierarchy (SILO's vaults) this must
-    /// equal the sum of the per-node cache occupancies — the cross-layer
-    /// occupancy invariant checked by the `--check` oracle.
-    pub fn total_holders(&self) -> u64 {
-        self.entries
-            .values()
-            .map(|e| u64::from(e.mask().count_ones()))
-            .sum()
     }
 
     /// Checks the MOESI single-writer invariants for every tracked line.
@@ -431,12 +395,11 @@ mod tests {
 
     #[test]
     fn absent_lines_are_invalid_everywhere() {
-        let mut d = DuplicateTagDirectory::new(4);
+        let d = DuplicateTagDirectory::new(4);
         assert_eq!(d.state_of(LineAddr::new(1), 0), State::I);
-        assert!(d.is_uncached(LineAddr::new(1)));
+        assert_eq!(d.holders_mask(LineAddr::new(1)), 0);
         let states: Vec<State> = d.lookup_states(LineAddr::new(1)).collect();
         assert_eq!(states, vec![State::I; 4]);
-        assert_eq!(d.lookups(), 1);
     }
 
     #[test]
@@ -461,9 +424,8 @@ mod tests {
     #[test]
     fn setting_invalid_on_absent_line_is_noop() {
         let mut d = DuplicateTagDirectory::new(2);
-        d.set_state(LineAddr::new(3), 1, State::I);
+        assert_eq!(d.set_state(LineAddr::new(3), 1, State::I), State::I);
         assert!(d.is_empty());
-        assert_eq!(d.updates(), 1);
     }
 
     #[test]
@@ -473,17 +435,6 @@ mod tests {
         d.set_state(LineAddr::new(9), 3, State::O);
         assert_eq!(d.owner(LineAddr::new(9)), Some(3));
         assert_eq!(d.holders_mask(LineAddr::new(9)), 0b1001);
-    }
-
-    #[test]
-    fn first_holder_except_skips_requester() {
-        let mut d = DuplicateTagDirectory::new(4);
-        d.set_state(LineAddr::new(9), 1, State::S);
-        d.set_state(LineAddr::new(9), 2, State::S);
-        assert_eq!(d.first_holder_except(LineAddr::new(9), 1), Some(2));
-        assert_eq!(d.first_holder_except(LineAddr::new(9), 0), Some(1));
-        d.set_state(LineAddr::new(9), 2, State::I);
-        assert_eq!(d.first_holder_except(LineAddr::new(9), 1), None);
     }
 
     #[test]
@@ -501,7 +452,6 @@ mod tests {
         let v = d.lookup_view(LineAddr::new(1));
         assert_eq!(v.mask, 0b0101);
         assert_eq!(v.owner, Some((2, State::O)));
-        assert_eq!(d.lookups(), 2);
     }
 
     #[test]
@@ -560,13 +510,12 @@ mod tests {
         let v = d.lookup_view(LineAddr::new(7));
         assert_eq!(v.mask, 1 << 31 | 1 << 17 | 1);
         assert_eq!(v.owner, Some((31, State::O)));
-        assert_eq!(d.first_holder_except(LineAddr::new(7), 0), Some(17));
         assert_eq!(d.lookup_states(LineAddr::new(7)).count(), 32);
         assert!(d.check_invariants().is_ok());
     }
 
     #[test]
-    fn lookup_states_matches_lookup_and_counts_once() {
+    fn lookup_states_matches_lookup_view() {
         let mut d = DuplicateTagDirectory::new(4);
         d.set_state(LineAddr::new(11), 1, State::O);
         d.set_state(LineAddr::new(11), 3, State::S);
@@ -575,7 +524,6 @@ mod tests {
         let view = d.lookup_view(LineAddr::new(11));
         assert_eq!(view.mask, 0b1010);
         assert_eq!(view.owner, Some((1, State::O)));
-        assert_eq!(d.lookups(), 2, "each lookup flavour counts once");
         // Absent lines iterate all-I without creating an entry.
         assert_eq!(
             d.lookup_states(LineAddr::new(99))
@@ -584,18 +532,6 @@ mod tests {
             0
         );
         assert_eq!(d.len(), 1);
-    }
-
-    #[test]
-    fn total_holders_sums_valid_copies() {
-        let mut d = DuplicateTagDirectory::new(4);
-        assert_eq!(d.total_holders(), 0);
-        d.set_state(LineAddr::new(1), 0, State::O);
-        d.set_state(LineAddr::new(1), 2, State::S);
-        d.set_state(LineAddr::new(2), 3, State::M);
-        assert_eq!(d.total_holders(), 3);
-        d.set_state(LineAddr::new(1), 2, State::I);
-        assert_eq!(d.total_holders(), 2);
     }
 
     /// Small-form corruption: each distinct `check_invariants` error

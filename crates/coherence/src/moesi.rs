@@ -2,24 +2,43 @@
 //! DRAM-cache vaults (Sec. V-B).
 //!
 //! Every core owns an inclusive, direct-mapped DRAM cache vault stacked
-//! above it. Coherence state lives with the vault tags; sharers are found
-//! through a duplicate-tag directory whose metadata is distributed across
-//! the vaults at address-interleaved *home* nodes. The O state lets a
-//! dirty block be supplied core-to-core without a main-memory writeback —
-//! the common case for the read-mostly sharing of scale-out workloads.
+//! above it. Coherence state lives with the vault tags, and the
+//! duplicate-tag directory is those same tags seen across cores: the
+//! paper's N-way directory set in which way `c` is core `c`'s vault
+//! (Fig. 9). The engine stores exactly that, once. Vault set `s` of
+//! every core is one *row* of `n` slots, slot `c` holding core `c`'s
+//! tag and MOESI state, so
 //!
-//! The engine is functional + structural: it owns the SRAM nodes, the
-//! vault arrays and the directory, performs all state transitions, and
-//! emits an [`AccessResult`] whose [`Step`]s the timing simulator prices
-//! with mesh hops and bank reservations.
+//! * a local vault probe reads one slot;
+//! * a directory lookup (holder mask and owner) scans one row;
+//! * a vault fill overwrites the victim's slot, and that write is also
+//!   the victim's directory update.
+//!
+//! Directory metadata is physically distributed across the vaults at
+//! address-interleaved *home* nodes; the engine charges those DRAM
+//! accesses through the steps it emits, not through a second copy of
+//! the tags. The O state lets a dirty block be supplied core-to-core
+//! without a main-memory writeback — the common case for the
+//! read-mostly sharing of scale-out workloads.
+//!
+//! The engine is functional + structural: it owns the SRAM nodes and
+//! the vault rows, performs all state transitions, and emits an
+//! [`AccessResult`] whose [`Step`]s the timing simulator prices with
+//! mesh hops and bank reservations.
 
-use crate::directory::DuplicateTagDirectory;
+use crate::directory::DirView;
 use crate::node::{Node, NodeSpec, SramHit};
 use crate::state::State;
 use crate::stats::CoherenceStats;
 use crate::step::{AccessResult, Background, ServedBy, Step};
-use silo_cache::{ReplacementPolicy, SetAssocCache};
+use silo_types::hash::FxHashMap;
 use silo_types::{ByteSize, LineAddr, MemRef};
+
+/// Vaults of at most this many lines keep every row allocated up front
+/// (zeroed, so untouched rows cost no resident memory). 64 Ki lines is
+/// a scale-64 Table I vault; larger vaults (`--scale 1`: millions of
+/// sets, almost all untouched) allocate a row on its first fill.
+const DENSE_MAX_LINES: u64 = 1 << 16;
 
 /// Configuration of the SILO private hierarchy.
 #[derive(Clone, Copy, Debug)]
@@ -54,14 +73,116 @@ impl Default for PrivateMoesiConfig {
     }
 }
 
-/// The SILO protocol engine: N private nodes, N private vaults, one
-/// functional duplicate-tag MOESI directory homed by address interleave.
+/// Every core's direct-mapped vault, transposed into rows: slot
+/// `row + c` is core `c`'s way of the set the row stands for. A slot
+/// whose state is I (0) is empty; its tag is stale and never read as a
+/// line.
+#[derive(Clone, Debug)]
+struct Rows {
+    /// Slots per row: the core count.
+    n: usize,
+    /// Vault set count minus one (set counts are powers of two).
+    set_mask: u64,
+    tags: Vec<u64>,
+    /// `State::to_bits` per slot.
+    states: Vec<u8>,
+    /// Large vaults only: set -> offset of its row, allocated on first
+    /// use. `None` when every row is allocated and set `s` sits at
+    /// `s * n`.
+    sparse: Option<FxHashMap<u64, usize>>,
+}
+
+impl Rows {
+    fn new(n: usize, sets: u64) -> Self {
+        let dense = sets <= DENSE_MAX_LINES;
+        let slots = if dense { sets as usize * n } else { 0 };
+        Rows {
+            n,
+            set_mask: sets - 1,
+            tags: vec![0; slots],
+            states: vec![0; slots],
+            sparse: (!dense).then(FxHashMap::default),
+        }
+    }
+
+    /// Offset of the row holding `line`'s set, if it exists.
+    #[inline]
+    fn row(&self, line: LineAddr) -> Option<usize> {
+        let set = line.as_u64() & self.set_mask;
+        match &self.sparse {
+            None => Some(set as usize * self.n),
+            Some(rows) => rows.get(&set).copied(),
+        }
+    }
+
+    /// Offset of the row holding `line`'s set, allocating it (all slots
+    /// empty) in a large vault.
+    fn row_or_insert(&mut self, line: LineAddr) -> usize {
+        let set = line.as_u64() & self.set_mask;
+        let (n, tags, states) = (self.n, &mut self.tags, &mut self.states);
+        match &mut self.sparse {
+            None => set as usize * n,
+            Some(rows) => *rows.entry(set).or_insert_with(|| {
+                tags.resize(tags.len() + n, 0);
+                states.resize(states.len() + n, 0);
+                tags.len() - n
+            }),
+        }
+    }
+
+    /// State of `line` in slot `slot` (I unless the slot holds it).
+    #[inline]
+    fn state_at(&self, slot: usize, line: LineAddr) -> State {
+        if self.tags[slot] == line.as_u64() {
+            State::from_bits(self.states[slot])
+        } else {
+            State::I
+        }
+    }
+
+    /// The directory's view of `line` from its row: which slots hold it,
+    /// and the owner-like one (at most one, by the single-writer
+    /// invariant).
+    #[inline]
+    fn view(&self, row: usize, line: LineAddr) -> DirView {
+        let mut view = DirView {
+            mask: 0,
+            owner: None,
+        };
+        let tags = &self.tags[row..row + self.n];
+        let states = &self.states[row..row + self.n];
+        for (c, (&tag, &bits)) in tags.iter().zip(states).enumerate() {
+            if tag == line.as_u64() && bits != 0 {
+                view.mask |= 1 << c;
+                let s = State::from_bits(bits);
+                if s.is_ownerlike() {
+                    view.owner = Some((c, s));
+                }
+            }
+        }
+        view
+    }
+
+    /// Every allocated row as `(set, offset)`.
+    fn iter(&self) -> impl Iterator<Item = (u64, usize)> + '_ {
+        let dense_sets = if self.sparse.is_some() {
+            0
+        } else {
+            self.set_mask + 1
+        };
+        (0..dense_sets)
+            .map(|set| (set, set as usize * self.n))
+            .chain(self.sparse.iter().flatten().map(|(&set, &row)| (set, row)))
+    }
+}
+
+/// The SILO protocol engine: N private nodes over N private vaults,
+/// whose tags double as the duplicate-tag MOESI directory homed by
+/// address interleave.
 #[derive(Clone, Debug)]
 pub struct PrivateMoesi {
     nodes: Vec<Node>,
-    /// Direct-mapped vault per core; payload is the MOESI state.
-    vaults: Vec<SetAssocCache<State>>,
-    dir: DuplicateTagDirectory,
+    rows: Rows,
     ideal_miss_predict: bool,
     o_state_forwarding: bool,
     stats: CoherenceStats,
@@ -74,15 +195,17 @@ impl PrivateMoesi {
     ///
     /// Panics if `n_cores` is zero or exceeds 64.
     pub fn new(n_cores: usize, cfg: &PrivateMoesiConfig) -> Self {
-        let vault_cap = cfg.vault_capacity.scaled_down(cfg.scale);
+        assert!(
+            (1..=64).contains(&n_cores),
+            "core count {n_cores} outside [1, 64]"
+        );
+        // Direct-mapped: one line per set, floored to a power of two.
+        let lines = cfg.vault_capacity.scaled_down(cfg.scale).lines().max(1);
         PrivateMoesi {
             nodes: (0..n_cores)
                 .map(|_| Node::new(&cfg.node_spec, cfg.scale))
                 .collect(),
-            vaults: (0..n_cores)
-                .map(|_| SetAssocCache::with_capacity_rounded(vault_cap, 1, ReplacementPolicy::Lru))
-                .collect(),
-            dir: DuplicateTagDirectory::new(n_cores),
+            rows: Rows::new(n_cores, 1 << (63 - lines.leading_zeros())),
             ideal_miss_predict: cfg.ideal_miss_predict,
             o_state_forwarding: cfg.o_state_forwarding,
             stats: CoherenceStats::default(),
@@ -113,16 +236,18 @@ impl PrivateMoesi {
     }
 
     /// Host-cache prefetch hint for an upcoming access by `core` to
-    /// `line`: warms the local vault slot, the hottest and largest array
-    /// on the access path. Changes no simulated state.
+    /// `line`: warms the local vault slot's tag and state, the hottest
+    /// and largest arrays on the access path. Changes no simulated
+    /// state. Large vaults have no row address before a hash probe, so
+    /// there the hint does nothing.
     #[inline]
     pub fn prefetch_hint(&self, core: usize, line: LineAddr) {
-        self.vaults[core].prefetch(line);
-    }
-
-    /// The functional directory (for invariant checks and tests).
-    pub fn directory(&self) -> &DuplicateTagDirectory {
-        &self.dir
+        if self.rows.sparse.is_none() {
+            if let Some(row) = self.rows.row(line) {
+                silo_cache::prefetch(&self.rows.tags[row + core]);
+                silo_cache::prefetch(&self.rows.states[row + core]);
+            }
+        }
     }
 
     /// Whether dirty reads forward through the O state (the paper's
@@ -131,29 +256,18 @@ impl PrivateMoesi {
         self.o_state_forwarding
     }
 
-    /// Vault hit/miss counters of one core.
-    pub fn vault_stats(&self, core: usize) -> (u64, u64) {
-        (self.vaults[core].hits(), self.vaults[core].misses())
-    }
-
     /// True when `core`'s SRAM hierarchy (L1-I, L1-D, or L2) holds the
     /// line. Read-only introspection for the model checker.
     pub fn sram_contains(&self, core: usize, line: LineAddr) -> bool {
         self.nodes[core].contains(line)
     }
 
-    /// The coherence state of `line` in `core`'s vault (I when absent).
-    /// Read-only: no hit/miss accounting.
+    /// The coherence state of `line` in `core`'s vault, which is also
+    /// the directory's record of it (I when absent). Read-only.
     pub fn vault_state(&self, core: usize, line: LineAddr) -> State {
-        self.vaults[core].peek(line).copied().unwrap_or(State::I)
-    }
-
-    /// Total lines resident across all vaults. Under vault/directory
-    /// agreement this equals [`DuplicateTagDirectory::total_holders`] —
-    /// the cheap cross-layer occupancy invariant the `--check` oracle
-    /// replays every N references.
-    pub fn vault_occupancy(&self) -> u64 {
-        self.vaults.iter().map(|v| v.len() as u64).sum()
+        self.rows
+            .row(line)
+            .map_or(State::I, |row| self.rows.state_at(row + core, line))
     }
 
     /// Executes one memory reference from `core` and returns the protocol
@@ -200,25 +314,22 @@ impl PrivateMoesi {
     /// Ensures `core` may write a line it already caches (SRAM or vault
     /// hit): silent E->M, or an upgrade transaction for S/O copies.
     fn write_permission(&mut self, core: usize, line: LineAddr, r: &mut AccessResult) {
-        let state = *self.vaults[core]
-            .peek(line)
+        let row = self
+            .rows
+            .row(line)
             .expect("SRAM-resident line must be vault-resident (inclusion)");
-        match state {
+        match self.rows.state_at(row + core, line) {
             State::M => {}
-            State::E => {
-                // Silent upgrade: no transaction; keep the functional
-                // directory in sync so eviction writebacks are exact.
-                *self.vaults[core].peek_mut(line).expect("just peeked") = State::M;
-                self.dir.set_state(line, core, State::M);
-            }
-            State::S | State::O => self.upgrade(core, line, r),
-            State::I => unreachable!("valid vault state peeked"),
+            // Silent upgrade: no transaction.
+            State::E => self.rows.states[row + core] = State::M.to_bits(),
+            State::S | State::O => self.upgrade(core, line, row, r),
+            State::I => unreachable!("SRAM-resident line must be vault-resident (inclusion)"),
         }
     }
 
     /// Write-upgrade transaction: invalidate every other holder through
     /// the home directory, then take M.
-    fn upgrade(&mut self, core: usize, line: LineAddr, r: &mut AccessResult) {
+    fn upgrade(&mut self, core: usize, line: LineAddr, row: usize, r: &mut AccessResult) {
         r.llc_access = true;
         self.stats.upgrades.inc();
         let home = self.home_of(line);
@@ -227,23 +338,19 @@ impl PrivateMoesi {
             to: home,
         });
         r.steps.push(Step::VaultAccess { node: home });
-        let mask = self.dir.lookup_view(line).mask & !(1u64 << core);
+        let mask = self.rows.view(row, line).mask & !(1u64 << core);
         if mask != 0 {
             r.steps.push(Step::Invalidations { home, mask });
-            self.invalidate_holders(line, mask);
+            self.invalidate_holders(line, row, mask);
         }
         r.steps.push(Step::Net {
             from: home,
             to: core,
         });
-        let touched = mask.count_ones() + 1;
-        self.dir.set_state(line, core, State::M);
-        *self.vaults[core]
-            .peek_mut(line)
-            .expect("upgrader holds line") = State::M;
+        self.rows.states[row + core] = State::M.to_bits();
         r.background.push(Background::DirUpdate {
             home,
-            ways: touched,
+            ways: mask.count_ones() + 1,
         });
     }
 
@@ -252,10 +359,12 @@ impl PrivateMoesi {
         r.llc_access = true;
         let line = mr.line;
         let is_write = mr.kind.is_write();
+        // Every SRAM miss either hits the vault or fills it, so the row
+        // is needed either way.
+        let row = self.rows.row_or_insert(line);
 
         // Local vault TAD probe.
-        let vstate = self.vaults[core].get(line).copied().unwrap_or(State::I);
-        if vstate.is_valid() {
+        if self.rows.state_at(row + core, line).is_valid() {
             r.steps.push(Step::VaultAccess { node: core });
             r.served = Some(ServedBy::LocalVault);
             if is_write {
@@ -277,7 +386,7 @@ impl PrivateMoesi {
             to: home,
         });
         r.steps.push(Step::VaultAccess { node: home });
-        let view = self.dir.lookup_view(line);
+        let view = self.rows.view(row, line);
         let mask = view.mask & !(1u64 << core);
         let mut dir_ways = 1u32;
 
@@ -298,7 +407,7 @@ impl PrivateMoesi {
                         mask: sharer_mask,
                     });
                 }
-                self.invalidate_holders(line, mask);
+                self.invalidate_holders(line, row, mask);
                 dir_ways += mask.count_ones();
                 State::M
             } else {
@@ -319,24 +428,20 @@ impl PrivateMoesi {
                     State::E => State::S,
                     _ => unreachable!("owner must be ownerlike"),
                 };
-                self.dir.set_state(line, o, downgraded);
-                *self.vaults[o].peek_mut(line).expect("owner holds line") = downgraded;
+                self.rows.states[row + o] = downgraded.to_bits();
                 dir_ways += 1;
                 State::S
             }
         } else if mask != 0 {
             // Clean sharers only: forward from the first holder's vault.
-            let s = self
-                .dir
-                .first_holder_except(line, core)
-                .expect("mask nonzero implies a holder");
+            let s = mask.trailing_zeros() as usize;
             r.steps.push(Step::Net { from: home, to: s });
             r.steps.push(Step::VaultAccess { node: s });
             r.steps.push(Step::Net { from: s, to: core });
             r.served = Some(ServedBy::RemoteVault);
             if is_write {
                 r.steps.push(Step::Invalidations { home, mask });
-                self.invalidate_holders(line, mask);
+                self.invalidate_holders(line, row, mask);
                 dir_ways += mask.count_ones();
                 State::M
             } else {
@@ -357,44 +462,46 @@ impl PrivateMoesi {
             }
         };
 
-        self.dir.set_state(line, core, new_state);
         r.background.push(Background::DirUpdate {
             home,
             ways: dir_ways,
         });
-        self.fill_vault(core, line, new_state, r);
+        self.fill_vault(core, line, row + core, new_state, r);
         self.fill_sram(core, line, mr);
     }
 
-    /// Installs `line` into `core`'s vault, handling the direct-mapped
-    /// victim: back-invalidate the SRAM (inclusion), retire the directory
-    /// entry at the victim's home, and write dirty data back to memory.
-    fn fill_vault(&mut self, core: usize, line: LineAddr, state: State, r: &mut AccessResult) {
-        match self.vaults[core].insert(line, state) {
-            Some(victim) => {
-                self.nodes[core].invalidate(victim.line);
-                self.dir.set_state(victim.line, core, State::I);
-                self.stats.directory_evictions.inc();
-                if victim.payload.is_dirty() {
-                    self.stats.dirty_writebacks.inc();
-                }
-                let vhome = self.home_of(victim.line);
-                r.background.push(Background::DirUpdate {
-                    home: vhome,
-                    ways: 1,
-                });
-                r.background.push(Background::VaultFill {
-                    node: core,
-                    dirty_writeback: victim.payload.is_dirty(),
-                });
+    /// Installs `line` into `core`'s vault slot, handling the
+    /// direct-mapped victim: back-invalidate the SRAM (inclusion), retire
+    /// the directory entry at the victim's home (overwriting the slot is
+    /// that update), and write dirty data back to memory.
+    fn fill_vault(
+        &mut self,
+        core: usize,
+        line: LineAddr,
+        slot: usize,
+        state: State,
+        r: &mut AccessResult,
+    ) {
+        let victim = State::from_bits(self.rows.states[slot]);
+        let victim_line = LineAddr::new(self.rows.tags[slot]);
+        self.rows.tags[slot] = line.as_u64();
+        self.rows.states[slot] = state.to_bits();
+        if victim.is_valid() {
+            debug_assert_ne!(victim_line, line, "a vault miss cannot evict itself");
+            self.nodes[core].invalidate(victim_line);
+            self.stats.directory_evictions.inc();
+            if victim.is_dirty() {
+                self.stats.dirty_writebacks.inc();
             }
-            None => {
-                r.background.push(Background::VaultFill {
-                    node: core,
-                    dirty_writeback: false,
-                });
-            }
+            r.background.push(Background::DirUpdate {
+                home: self.home_of(victim_line),
+                ways: 1,
+            });
         }
+        r.background.push(Background::VaultFill {
+            node: core,
+            dirty_writeback: victim.is_dirty(),
+        });
     }
 
     /// Fills the SRAM levels. Node-level victims stay vault-resident, so
@@ -403,48 +510,52 @@ impl PrivateMoesi {
         self.nodes[core].fill_untracked(line, mr.kind);
     }
 
-    /// Invalidates every node in `mask`: vault, SRAM, and directory.
-    /// Invalidated dirty copies need no writeback — they are superseded by
-    /// the requester's M copy.
-    fn invalidate_holders(&mut self, line: LineAddr, mask: u64) {
+    /// Invalidates every node in `mask`: its vault slot in `row` (and so
+    /// its directory entry) and its SRAM. Invalidated dirty copies need
+    /// no writeback — they are superseded by the requester's M copy.
+    fn invalidate_holders(&mut self, line: LineAddr, row: usize, mask: u64) {
         self.stats.invalidations.add(u64::from(mask.count_ones()));
         for node in 0..self.nodes.len() {
             if mask & (1u64 << node) != 0 {
-                self.vaults[node].invalidate(line);
+                self.rows.states[row + node] = State::I.to_bits();
                 self.nodes[node].invalidate(line);
-                self.dir.set_state(line, node, State::I);
             }
         }
     }
 
-    /// Verifies the protocol invariants: the directory's MOESI invariants,
-    /// directory/vault agreement, and vault-inclusion of the SRAM levels.
+    /// Verifies the MOESI invariants over every row: each valid slot's
+    /// tag belongs to the row's set, at most one holder of a line is
+    /// owner-like (M/O/E), and M or E is the only valid copy.
     ///
     /// # Errors
     ///
     /// Returns a description of the first violation found.
     pub fn check(&self) -> Result<(), String> {
-        self.dir.check_invariants()?;
-        let (occ, tracked) = (self.vault_occupancy(), self.dir.total_holders());
-        if occ != tracked {
-            return Err(format!(
-                "occupancy: vaults hold {occ} lines, directory tracks {tracked}"
-            ));
-        }
-        for (core, vault) in self.vaults.iter().enumerate() {
-            for (line, &state) in vault.iter() {
-                let dstate = self.dir.state_of(line, core);
-                if dstate != state {
-                    return Err(format!(
-                        "{line}: vault {core} holds {state}, directory says {dstate}"
-                    ));
+        let Rows {
+            n, tags, states, ..
+        } = &self.rows;
+        for (set, row) in self.rows.iter() {
+            for c in 0..*n {
+                let line = tags[row + c];
+                if states[row + c] == 0
+                    || (0..c).any(|w| states[row + w] != 0 && tags[row + w] == line)
+                {
+                    continue; // empty, or checked at the line's first holder
                 }
-            }
-        }
-        for (line, states) in self.dir.iter() {
-            for (core, s) in states.iter().enumerate() {
-                if s.is_valid() && !self.vaults[core].contains(line) {
-                    return Err(format!("{line}: directory {s} at {core} but vault misses"));
+                let line = LineAddr::new(line);
+                if line.as_u64() & self.rows.set_mask != set {
+                    return Err(format!("{line}: vault {c} holds it in set {set}"));
+                }
+                let holders: Vec<State> = (c..*n)
+                    .map(|w| self.rows.state_at(row + w, line))
+                    .filter(|s| s.is_valid())
+                    .collect();
+                let ownerlike = holders.iter().filter(|s| s.is_ownerlike()).count();
+                if ownerlike > 1 {
+                    return Err(format!("{line}: {ownerlike} owner-like copies"));
+                }
+                if holders.len() > 1 && holders.iter().any(|s| s.can_write_silently()) {
+                    return Err(format!("{line}: M/E coexists with other copies"));
                 }
             }
         }
@@ -476,7 +587,7 @@ mod tests {
         assert_eq!(r.served_by(), ServedBy::Memory);
         assert!(r.llc_access);
         assert!(r.steps.contains(&Step::Memory));
-        assert_eq!(p.directory().state_of(l, 0), State::E);
+        assert_eq!(p.vault_state(0, l), State::E);
         p.check().unwrap();
     }
 
@@ -499,8 +610,8 @@ mod tests {
         let r = p.access(1, MemRef::read(l));
         assert_eq!(r.served_by(), ServedBy::RemoteVault);
         // E owner degrades to S on a clean read.
-        assert_eq!(p.directory().state_of(l, 0), State::S);
-        assert_eq!(p.directory().state_of(l, 1), State::S);
+        assert_eq!(p.vault_state(0, l), State::S);
+        assert_eq!(p.vault_state(1, l), State::S);
         p.check().unwrap();
     }
 
@@ -509,11 +620,11 @@ mod tests {
         let mut p = small();
         let l = LineAddr::new(42);
         p.access(0, MemRef::write(l));
-        assert_eq!(p.directory().state_of(l, 0), State::M);
+        assert_eq!(p.vault_state(0, l), State::M);
         let r = p.access(1, MemRef::read(l));
         assert_eq!(r.served_by(), ServedBy::RemoteVault);
-        assert_eq!(p.directory().state_of(l, 0), State::O);
-        assert_eq!(p.directory().state_of(l, 1), State::S);
+        assert_eq!(p.vault_state(0, l), State::O);
+        assert_eq!(p.vault_state(1, l), State::S);
         // No memory step anywhere: the O state avoided the writeback.
         assert!(!r.steps.contains(&Step::Memory));
         p.check().unwrap();
@@ -533,9 +644,9 @@ mod tests {
             .iter()
             .any(|s| matches!(s, Step::Invalidations { .. })));
         for core in 0..3 {
-            assert_eq!(p.directory().state_of(l, core), State::I);
+            assert_eq!(p.vault_state(core, l), State::I);
         }
-        assert_eq!(p.directory().state_of(l, 3), State::M);
+        assert_eq!(p.vault_state(3, l), State::M);
         p.check().unwrap();
     }
 
@@ -550,8 +661,8 @@ mod tests {
         let r = p.access(0, MemRef::write(l));
         assert_eq!(r.served_by(), ServedBy::L1);
         assert!(r.llc_access, "upgrade is a coherence transaction");
-        assert_eq!(p.directory().state_of(l, 0), State::M);
-        assert_eq!(p.directory().state_of(l, 1), State::I);
+        assert_eq!(p.vault_state(0, l), State::M);
+        assert_eq!(p.vault_state(1, l), State::I);
         p.check().unwrap();
     }
 
@@ -563,7 +674,7 @@ mod tests {
         let r = p.access(0, MemRef::write(l));
         assert!(!r.llc_access);
         assert!(r.steps.is_empty());
-        assert_eq!(p.directory().state_of(l, 0), State::M);
+        assert_eq!(p.vault_state(0, l), State::M);
         p.check().unwrap();
     }
 
@@ -576,8 +687,8 @@ mod tests {
         let b = LineAddr::new(7 + 1024);
         p.access(0, MemRef::write(a));
         p.access(0, MemRef::read(b));
-        assert_eq!(p.directory().state_of(a, 0), State::I, "victim retired");
-        assert_eq!(p.directory().state_of(b, 0), State::E);
+        assert_eq!(p.vault_state(0, a), State::I, "victim retired");
+        assert_eq!(p.vault_state(0, b), State::E);
         // A re-access misses SRAM and vault: memory again.
         let r = p.access(0, MemRef::read(a));
         assert_eq!(r.served_by(), ServedBy::Memory);
@@ -622,14 +733,14 @@ mod tests {
         );
         let l = LineAddr::new(42);
         p.access(0, MemRef::write(l));
-        assert_eq!(p.directory().state_of(l, 0), State::M);
+        assert_eq!(p.vault_state(0, l), State::M);
         let r = p.access(1, MemRef::read(l));
         // Data still forwards from the owner's vault, but the dirty line
         // goes back to memory and the owner degrades to S, never O.
         assert_eq!(r.served_by(), ServedBy::RemoteVault);
         assert!(r.background.contains(&Background::MemoryWrite));
-        assert_eq!(p.directory().state_of(l, 0), State::S);
-        assert_eq!(p.directory().state_of(l, 1), State::S);
+        assert_eq!(p.vault_state(0, l), State::S);
+        assert_eq!(p.vault_state(1, l), State::S);
         p.check().unwrap();
     }
 

@@ -56,15 +56,15 @@ fn read_share_then_write_invalidate_classifications() {
     let r = p.access(3, MemRef::write(line));
     assert_eq!(r.served_by(), ServedBy::RemoteVault);
     for core in 0..3 {
-        assert_eq!(p.directory().state_of(line, core), State::I);
+        assert_eq!(p.vault_state(core, line), State::I);
     }
-    assert_eq!(p.directory().state_of(line, 3), State::M);
+    assert_eq!(p.vault_state(3, line), State::M);
 
     // The invalidated sharers must re-fetch — from core 3's dirty copy,
     // which moves to O without a memory writeback.
     let r = p.access(0, MemRef::read(line));
     assert_eq!(r.served_by(), ServedBy::RemoteVault);
-    assert_eq!(p.directory().state_of(line, 3), State::O);
+    assert_eq!(p.vault_state(3, line), State::O);
 
     // Core 3 still answers from its SRAM afterwards.
     let r = p.access(3, MemRef::read(line));
