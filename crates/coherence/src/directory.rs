@@ -515,11 +515,12 @@ mod tests {
     }
 
     #[test]
-    fn lookup_states_matches_lookup_view() {
+    fn lookup_states_matches_lookup_and_counts_once() {
         let mut d = DuplicateTagDirectory::new(4);
         d.set_state(LineAddr::new(11), 1, State::O);
         d.set_state(LineAddr::new(11), 3, State::S);
         let via_iter: Vec<State> = d.lookup_states(LineAddr::new(11)).collect();
+        assert_eq!(via_iter.len(), 4, "one state per node");
         assert_eq!(via_iter, vec![State::I, State::O, State::I, State::S]);
         let view = d.lookup_view(LineAddr::new(11));
         assert_eq!(view.mask, 0b1010);

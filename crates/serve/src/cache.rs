@@ -16,6 +16,11 @@
 //!   `get` after `put` returns the identical bytes. Writes go through a
 //!   temp file + rename, so a row is never observed half-written, even
 //!   by a concurrent daemon sharing the directory.
+//! * **Checked on read.** A row file starts with a `sha256 <hex>` line
+//!   over the row after it. A file whose checksum is missing or wrong
+//!   (torn by a copy, truncated by a full disk, edited by hand) is
+//!   deleted and reads as a miss, so the point is recomputed instead of
+//!   served broken.
 //! * **Safe to delete.** Removing any file (or the whole directory)
 //!   only costs recompute — which is also the eviction story: when the
 //!   entry count exceeds the configured cap after a write, the
@@ -30,6 +35,8 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
+use silo_types::sha::sha256_hex;
+
 /// Subdirectory of the cache root holding row files.
 const ROWS_DIR: &str = "rows";
 /// Subdirectory holding auxiliary event records (NDJSON sidecars,
@@ -41,6 +48,8 @@ const EVENTS_DIR: &str = "events";
 const ROW_EXT: &str = "json";
 /// Event sidecar extension.
 const EVENTS_EXT: &str = "ndjson";
+/// Prefix of a row file's first line, followed by the row's SHA-256.
+const CHECKSUM_PREFIX: &str = "sha256 ";
 
 /// Writes `bytes` to `path` through a sibling `<path>.tmp` file renamed
 /// into place, so a reader — or a restart after a crash — sees either no
@@ -155,12 +164,38 @@ impl RowCache {
         self.path_in(EVENTS_DIR, EVENTS_EXT, key)
     }
 
-    /// Fetches the row stored under `key`, if present.
+    /// Fetches the row stored under `key`, if present and intact. A
+    /// corrupt row file is deleted and reads as absent.
     pub fn get(&self, key: &str) -> Option<String> {
+        self.probe(key).ok().flatten()
+    }
+
+    /// [`RowCache::get`], telling a corrupt row apart from a miss:
+    /// `Err` carries the path of a row file whose checksum was missing
+    /// or wrong, which has been deleted (best effort) so the next `put`
+    /// rewrites it.
+    pub(crate) fn probe(&self, key: &str) -> Result<Option<String>, PathBuf> {
         if self.max_entries == 0 {
-            return None;
+            return Ok(None);
         }
-        std::fs::read_to_string(self.path_for(key)?).ok()
+        let Some(path) = self.path_for(key) else {
+            return Ok(None);
+        };
+        let Ok(mut text) = std::fs::read_to_string(&path) else {
+            return Ok(None);
+        };
+        let intact = text.split_once('\n').is_some_and(|(head, row)| {
+            head.strip_prefix(CHECKSUM_PREFIX) == Some(&sha256_hex(row.as_bytes()))
+        });
+        if !intact {
+            if std::fs::remove_file(&path).is_ok() {
+                self.entries.fetch_sub(1, Ordering::Relaxed);
+            }
+            return Err(path);
+        }
+        let body = text.find('\n').expect("an intact row has a checksum line") + 1;
+        text.drain(..body);
+        Ok(Some(text))
     }
 
     /// Stores `row` under `key` (atomic: temp file + rename). Overwrites
@@ -179,7 +214,8 @@ impl RowCache {
             .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "malformed cache key"))?;
         std::fs::create_dir_all(path.parent().expect("row path has a shard directory"))?;
         let existed = path.exists();
-        write_atomic(&path, row)?;
+        let sum = sha256_hex(row.as_bytes());
+        write_atomic(&path, format!("{CHECKSUM_PREFIX}{sum}\n{row}"))?;
         if !existed {
             let now = self.entries.fetch_add(1, Ordering::Relaxed) + 1;
             if now > self.max_entries as u64 {
@@ -370,6 +406,32 @@ mod tests {
         }
         assert_eq!(cache.get(&key(1)), None, "row evicted");
         assert_eq!(cache.get_events(&key(1)), None, "sidecar evicted");
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    #[test]
+    fn torn_or_unchecked_rows_are_deleted_and_read_as_misses() {
+        let dir = temp_dir("corrupt");
+        let cache = RowCache::open(&dir, 10).expect("open");
+        let path = cache.path_for(&key(1)).expect("valid key");
+        for torn in [
+            "{\"workload\":".to_string(),
+            format!(
+                "{CHECKSUM_PREFIX}{}\n{{\"row\":2}}",
+                sha256_hex(b"{\"row\":1}")
+            ),
+        ] {
+            cache.put(&key(1), "{\"row\":1}").expect("put");
+            assert_eq!(cache.len(), 1);
+            std::fs::write(&path, torn).expect("tear the row");
+            assert_eq!(cache.probe(&key(1)), Err(path.clone()));
+            assert!(!path.exists(), "the corrupt file is deleted");
+            assert_eq!(cache.len(), 0);
+            assert_eq!(cache.get(&key(1)), None, "and stays a miss");
+        }
+        // A rewrite after the miss is served again.
+        cache.put(&key(1), "{\"row\":1}").expect("rewrite");
+        assert_eq!(cache.get(&key(1)).as_deref(), Some("{\"row\":1}"));
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 

@@ -126,8 +126,9 @@ pub trait JobEngine: Send + Sync + 'static {
     ///
     /// # Errors
     ///
-    /// A message naming the first row the engine cannot read back, such
-    /// as a torn cache file; the daemon answers `500`.
+    /// A message naming the first row the engine cannot read back; the
+    /// daemon answers `500`. (A torn cache file never gets here: it
+    /// fails its checksum and is recomputed.)
     fn try_document(&self, job: &Self::Job, rows: &[String]) -> Result<String, String>;
 
     /// [`JobEngine::try_document`] for rows the caller has just rendered

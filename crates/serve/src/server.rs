@@ -109,6 +109,9 @@ struct Metrics {
     cache_hits: Counter,
     /// `silo_serve_cache_misses_total` — points actually computed.
     cache_misses: Counter,
+    /// `silo_serve_cache_corrupt_total` — cached rows that failed their
+    /// checksum, were deleted and are recomputed.
+    cache_corrupt: Counter,
     /// `silo_serve_point_run_microseconds` — per-point run wall time.
     run_us: Histo,
     /// `silo_serve_stream_bytes_total` — NDJSON bytes streamed.
@@ -155,6 +158,10 @@ impl Metrics {
             cache_misses: registry.counter(
                 "silo_serve_cache_misses_total",
                 "Sweep points computed because no cached row existed.",
+            ),
+            cache_corrupt: registry.counter(
+                "silo_serve_cache_corrupt_total",
+                "Cached rows that failed their checksum and were deleted for recompute.",
             ),
             run_us: registry.histogram(
                 "silo_serve_point_run_microseconds",
@@ -465,6 +472,24 @@ struct SubmitOutcome {
     sweep_hash: String,
 }
 
+/// The cached row of `key`, if present and intact. A row that fails
+/// its checksum has been deleted by the cache; it is counted, logged,
+/// and read as a miss, so the point is recomputed.
+fn cached_row<E: JobEngine>(shared: &Shared<E>, key: &str) -> Option<String> {
+    match shared.cache.probe(key) {
+        Ok(row) => row,
+        Err(path) => {
+            shared.metrics.cache_corrupt.inc();
+            shared.log.warn(
+                "serve.cache",
+                "corrupt cached row deleted; the point is recomputed",
+                &[("key", key), ("file", &path.display().to_string())],
+            );
+            None
+        }
+    }
+}
+
 /// Plans and enqueues one submission. Cache-satisfied points never
 /// enter the queue; points already inflight are subscribed to.
 fn submit<E: JobEngine>(
@@ -502,7 +527,7 @@ fn submit<E: JobEngine>(
     let mut events: Vec<Vec<String>> = vec![Vec::new(); points];
     let mut misses: Vec<usize> = Vec::new();
     for (i, key) in keys.iter().enumerate() {
-        match shared.cache.get(key) {
+        match cached_row(shared, key) {
             Some(row) => {
                 rows[i] = Some(row);
                 events[i] = shared.cache.get_events(key).unwrap_or_default();
@@ -747,7 +772,7 @@ fn worker_loop<E: JobEngine>(shared: &Shared<E>) {
         // Close the probe-then-enqueue race: the row may have landed
         // (another worker, or a prior run sharing the cache directory)
         // since this point was queued.
-        if let Some(row) = shared.cache.get(&task.key) {
+        if let Some(row) = cached_row(shared, &task.key) {
             shared.metrics.cache_hits.inc();
             let events = shared.cache.get_events(&task.key).unwrap_or_default();
             spans.record_with_id(

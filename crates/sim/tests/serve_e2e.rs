@@ -289,7 +289,7 @@ fn interrupted_sweep_resumes_from_cached_rows() {
 }
 
 #[test]
-fn torn_cached_row_answers_a_typed_500_and_the_daemon_keeps_serving() {
+fn torn_cached_row_is_recomputed_and_the_daemon_keeps_serving() {
     let dir = temp_dir("torn");
     let server = start(
         SimJobEngine,
@@ -303,8 +303,8 @@ fn torn_cached_row_answers_a_typed_500_and_the_daemon_keeps_serving() {
     let addr = server.addr();
     let one_point = SCENARIO.replace("scale = 64, 128", "scale = 64");
     let (status, body) = submit(addr, "torn", &one_point);
-    let (status, _) = get(addr, &format!("/jobs/{}/result", job_id(status, &body)));
-    assert_eq!(status, 200);
+    let (status, first) = get(addr, &format!("/jobs/{}/result", job_id(status, &body)));
+    assert_eq!(status, 200, "{first}");
 
     // Tear the job's one cached row, as a crash mid-copy would.
     let shard = std::fs::read_dir(dir.join("rows"))
@@ -321,19 +321,23 @@ fn torn_cached_row_answers_a_typed_500_and_the_daemon_keeps_serving() {
     std::fs::write(&rows[0], "{\"workload\":").expect("tear the row");
 
     let (status, body) = submit(addr, "torn", &one_point);
-    assert!(body.contains("\"cached\":1"), "{body}");
+    assert!(
+        body.contains("\"cached\":0"),
+        "a torn row is a miss: {body}"
+    );
     let id = job_id(status, &body);
     assert_eq!(id, 2);
-    let (status, body) = get(addr, &format!("/jobs/{id}/result"));
-    assert_eq!(status, 500, "{body}");
-    let error = Json::parse(&body).expect("the 500 carries a JSON body");
-    let message = error
-        .get("error")
-        .and_then(Json::as_str)
-        .unwrap_or_else(|| panic!("no error field in: {body}"));
+    let (status, again) = get(addr, &format!("/jobs/{id}/result"));
+    assert_eq!(status, 200, "the torn point is recomputed: {again}");
+    assert_eq!(
+        strip_wall_ms(&again),
+        strip_wall_ms(&first),
+        "the recomputed document is the first one, wall_ms aside"
+    );
+    let (_, metrics) = get(addr, "/metrics");
     assert!(
-        message.contains("row 0"),
-        "the error names the row: {message}"
+        metrics.contains("silo_serve_cache_corrupt_total 1"),
+        "{metrics}"
     );
 
     let (status, body) = get(addr, "/status");
