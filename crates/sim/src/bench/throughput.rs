@@ -48,6 +48,17 @@ pub fn hotloop_matrix(refs_per_core: usize) -> SimulationBuilder {
         .refs_per_core(refs_per_core)
 }
 
+/// Matrix cells `silo-sim bench` runs at once unless `--threads` says
+/// otherwise: half the host's `host_threads`, at least one. On a host
+/// with two or more threads each cell's run starts its own engine
+/// helper thread beside the calling one (the run loop's threaded
+/// executor), so one cell per two host threads keeps every thread on a
+/// CPU of its own. On a 2-vCPU host this is one cell, the setting
+/// committed snapshots are taken with.
+pub fn default_threads(host_threads: usize) -> usize {
+    (host_threads / 2).max(1)
+}
+
 /// A sweep's runs in row order: system-major, so each system's workload
 /// rows are adjacent in reports. The records themselves are
 /// workload-major (one record per point, holding every system's run).
@@ -73,8 +84,14 @@ pub fn geomean_refs_per_sec(records: &[BenchRecord]) -> f64 {
 /// Renders one benchmark run as a `snapshots[]` entry of the
 /// `silo-hotloop/v1` document. The matrix dimensions come from the
 /// first core count and workload of `spec` (the matrix has one core
-/// count and one reference count).
-pub fn snapshot_json(label: &str, spec: &SweepSpec, records: &[BenchRecord]) -> Json {
+/// count and one reference count); `threads` is the number of cells
+/// the run had in flight at once.
+pub fn snapshot_json(
+    label: &str,
+    spec: &SweepSpec,
+    threads: usize,
+    records: &[BenchRecord],
+) -> Json {
     let row = |r: &SystemRun| {
         Json::Obj(vec![
             ("system".into(), Json::Str(r.stats.system.clone())),
@@ -93,6 +110,7 @@ pub fn snapshot_json(label: &str, spec: &SweepSpec, records: &[BenchRecord]) -> 
             dim(spec.workloads.first().map(|w| w.refs_per_core)),
         ),
         ("seed".into(), Json::Int(spec.seed.into())),
+        ("threads".into(), Json::Int(threads as i128)),
         (
             "geomean_refs_per_sec".into(),
             Json::Num(geomean_refs_per_sec(records)),
@@ -198,6 +216,15 @@ mod tests {
     }
 
     #[test]
+    fn default_threads_leave_a_cpu_for_each_cells_engine_thread() {
+        assert_eq!(default_threads(1), 1);
+        assert_eq!(default_threads(2), 1);
+        assert_eq!(default_threads(3), 1);
+        assert_eq!(default_threads(4), 2);
+        assert_eq!(default_threads(16), 8);
+    }
+
+    #[test]
     fn rows_come_back_in_matrix_order_with_positive_throughput() {
         let spec = tiny_spec();
         let records = run_sweep(&spec, 1);
@@ -221,7 +248,7 @@ mod tests {
     fn snapshot_json_round_trips() {
         let spec = tiny_spec();
         let records = run_sweep(&spec, 2);
-        let snapshot = snapshot_json("test", &spec, &records);
+        let snapshot = snapshot_json("test", &spec, 2, &records);
         let doc = hotloop_doc(vec![snapshot.clone()]);
         let parsed = Json::parse(&doc.to_string()).expect("round trip");
         assert_eq!(
@@ -235,6 +262,7 @@ mod tests {
             snaps[0].get("refs_per_core").and_then(Json::as_u64),
             Some(400)
         );
+        assert_eq!(snaps[0].get("threads").and_then(Json::as_u64), Some(2));
         let r = snaps[0].get("rows").and_then(Json::as_arr).unwrap();
         assert_eq!(r.len(), 4);
         assert_eq!(r[1].get("system").and_then(Json::as_str), Some("SILO"));

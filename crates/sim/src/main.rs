@@ -27,7 +27,11 @@ USAGE:
                                  zipf-shared/uniform-private/pointer-chase,
                                  8 cores, seed 42) and report refs/sec.
                                  Options: --refs N (refs/core, default
-                                 20000), --threads N, --label S,
+                                 20000), --threads N (cells run at
+                                 once; default half the host's
+                                 threads, at least 1, since each cell
+                                 also runs an engine thread),
+                                 --label S,
                                  --json PATH (append a snapshot to a
                                  silo-hotloop/v1 trajectory file),
                                  --gate PATH (noise-aware perf gate:
@@ -368,7 +372,8 @@ fn run_bench(mut args: impl Iterator<Item = String>) -> Result<(), ConfigError> 
     use silo_sim::bench::throughput;
 
     let mut refs: usize = 20_000;
-    let mut threads = std::thread::available_parallelism().map_or(4, usize::from);
+    let mut threads =
+        throughput::default_threads(std::thread::available_parallelism().map_or(1, usize::from));
     let mut label: Option<String> = None;
     let mut json: Option<PathBuf> = None;
     let mut gate_base: Option<PathBuf> = None;
@@ -425,7 +430,7 @@ fn run_bench(mut args: impl Iterator<Item = String>) -> Result<(), ConfigError> 
         "geomean {:.0} refs/sec",
         throughput::geomean_refs_per_sec(&records)
     );
-    let snapshot = throughput::snapshot_json(&label, spec, &records);
+    let snapshot = throughput::snapshot_json(&label, spec, threads, &records);
     if let Some(path) = &json {
         let n = throughput::append_snapshot(path, snapshot.clone())?;
         println!(
@@ -451,7 +456,7 @@ fn run_bench(mut args: impl Iterator<Item = String>) -> Result<(), ConfigError> 
         while reps.len() < gate_reps {
             println!("gate repetition {}/{gate_reps}...", reps.len() + 1);
             let records = bench::run_sweep(spec, threads);
-            reps.push(throughput::snapshot_json(&label, spec, &records));
+            reps.push(throughput::snapshot_json(&label, spec, threads, &records));
         }
         let report = gate::evaluate(&reps, base, gate::DEFAULT_MIN_TOLERANCE);
         println!();

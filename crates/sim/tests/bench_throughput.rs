@@ -116,7 +116,7 @@ fn simulated_fields_do_not_depend_on_worker_threads() {
 fn snapshot_document_round_trips_through_the_parser() {
     let spec = tiny_spec();
     let records = run_sweep(&spec, 2);
-    let doc = hotloop_doc(vec![snapshot_json("pr-test", &spec, &records)]);
+    let doc = hotloop_doc(vec![snapshot_json("pr-test", &spec, 1, &records)]);
     let parsed = Json::parse(&doc.to_string()).expect("emitted JSON parses");
     assert_eq!(
         parsed.get("schema").and_then(Json::as_str),
@@ -140,7 +140,7 @@ fn snapshot_document_round_trips_through_the_parser() {
     let found = gate::select_snapshot(snaps, 2, 300, 42).expect("dimensions match");
     // The gate over the run it was rendered from (A/A) is exactly 1.0x
     // on every row.
-    let fresh = snapshot_json("now", &spec, &records);
+    let fresh = snapshot_json("now", &spec, 1, &records);
     assert_self_comparison(&[fresh], found, 4);
 }
 
@@ -151,7 +151,7 @@ fn append_snapshot_grows_a_trajectory_file() {
     let path = scratch("trajectory.json");
     let _ = std::fs::remove_file(&path);
 
-    let snapshot = |label| snapshot_json(label, &spec, &records);
+    let snapshot = |label| snapshot_json(label, &spec, 1, &records);
     let n = append_snapshot(&path, snapshot("first")).expect("create file");
     assert_eq!(n, 1);
     let n = append_snapshot(&path, snapshot("second")).expect("append");
