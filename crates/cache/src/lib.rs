@@ -30,18 +30,13 @@ pub use page::PageCache;
 pub use set_assoc::{EvictionVictim, ReplacementPolicy, SetAssocCache};
 
 /// Hints the host CPU to pull the cache line holding `value` into its
-/// caches ahead of an upcoming read. Purely a performance hint: it
-/// reads and writes nothing, so issuing it (or not) can never change
-/// simulation results. The coherence engines call it one round-robin
-/// turn ahead of each reference, hiding the host-memory latency of
-/// their multi-MB slot arrays. A no-op on hosts other than x86-64.
+/// caches ahead of an upcoming read: the engines' prefetch hints, one
+/// round-robin turn ahead. It reads and writes nothing, so it can never
+/// change simulation results. A no-op off x86-64 and under Miri (which
+/// does not model the intrinsic).
 #[inline]
 #[allow(unsafe_code)] // the crate-level deny's single exception
 pub fn prefetch<T>(value: &T) {
-    // Compiled out under Miri: `_mm_prefetch` is a vendor intrinsic the
-    // interpreter does not model, and skipping a pure hint cannot change
-    // behaviour — this is the only unsafe block in the workspace (every
-    // other crate is `#![forbid(unsafe_code)]`).
     #[cfg(all(target_arch = "x86_64", not(miri)))]
     // SAFETY: the pointer comes from a live reference, and a prefetch
     // hint cannot fault or write.

@@ -288,16 +288,6 @@ impl DuplicateTagDirectory {
         self.entries.get(&line).map_or(0, Entry::mask)
     }
 
-    /// Number of tracked lines.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when the directory tracks nothing.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// Checks the MOESI single-writer invariants for every tracked line.
     ///
     /// # Errors
@@ -415,17 +405,16 @@ mod tests {
     fn entry_garbage_collected_when_all_invalid() {
         let mut d = DuplicateTagDirectory::new(2);
         d.set_state(LineAddr::new(3), 0, State::S);
-        assert_eq!(d.len(), 1);
+        assert_eq!(d.iter().count(), 1);
         d.set_state(LineAddr::new(3), 0, State::I);
-        assert_eq!(d.len(), 0);
-        assert!(d.is_empty());
+        assert_eq!(d.iter().count(), 0);
     }
 
     #[test]
     fn setting_invalid_on_absent_line_is_noop() {
         let mut d = DuplicateTagDirectory::new(2);
         assert_eq!(d.set_state(LineAddr::new(3), 1, State::I), State::I);
-        assert!(d.is_empty());
+        assert_eq!(d.iter().count(), 0);
     }
 
     #[test]
@@ -532,7 +521,7 @@ mod tests {
                 .count(),
             0
         );
-        assert_eq!(d.len(), 1);
+        assert_eq!(d.iter().count(), 1);
     }
 
     /// Small-form corruption: each distinct `check_invariants` error
@@ -657,6 +646,6 @@ mod tests {
         assert_eq!(d.lookup_view(LineAddr::new(3)).owner, None);
         assert_eq!(d.holders_mask(LineAddr::new(3)), 1 << 19);
         assert_eq!(d.set_state(LineAddr::new(3), 19, State::I), State::S);
-        assert!(d.is_empty());
+        assert_eq!(d.iter().count(), 0);
     }
 }

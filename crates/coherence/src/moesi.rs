@@ -14,17 +14,14 @@
 //! * a vault fill overwrites the victim's slot, and that write is also
 //!   the victim's directory update.
 //!
-//! Directory metadata is physically distributed across the vaults at
-//! address-interleaved *home* nodes; the engine charges those DRAM
-//! accesses through the steps it emits, not through a second copy of
-//! the tags. The O state lets a dirty block be supplied core-to-core
-//! without a main-memory writeback — the common case for the
-//! read-mostly sharing of scale-out workloads.
+//! Directory lookups happen at address-interleaved *home* vaults, whose
+//! DRAM accesses the emitted steps charge. The O state lets a dirty
+//! block be supplied core-to-core without a main-memory writeback — the
+//! common case for the read-mostly sharing of scale-out workloads.
 //!
-//! The engine is functional + structural: it owns the SRAM nodes and
-//! the vault rows, performs all state transitions, and emits an
-//! [`AccessResult`] whose [`Step`]s the timing simulator prices with
-//! mesh hops and bank reservations.
+//! The engine owns the SRAM nodes and the vault rows, performs all
+//! state transitions, and emits an [`AccessResult`] whose [`Step`]s the
+//! timing simulator prices with mesh hops and bank reservations.
 
 use crate::directory::DirView;
 use crate::node::{Node, NodeSpec, SramHit};
@@ -161,18 +158,6 @@ impl Rows {
             }
         }
         view
-    }
-
-    /// Every allocated row as `(set, offset)`.
-    fn iter(&self) -> impl Iterator<Item = (u64, usize)> + '_ {
-        let dense_sets = if self.sparse.is_some() {
-            0
-        } else {
-            self.set_mask + 1
-        };
-        (0..dense_sets)
-            .map(|set| (set, set as usize * self.n))
-            .chain(self.sparse.iter().flatten().map(|(&set, &row)| (set, row)))
     }
 }
 
@@ -370,7 +355,8 @@ impl PrivateMoesi {
             if is_write {
                 self.write_permission(core, line, r);
             }
-            self.fill_sram(core, line, mr);
+            // SRAM victims stay vault-resident: no directory update.
+            self.nodes[core].fill_untracked(line, mr.kind);
             return;
         }
         // Known local miss: with the ideal miss predictor the TAD probe is
@@ -466,28 +452,16 @@ impl PrivateMoesi {
             home,
             ways: dir_ways,
         });
-        self.fill_vault(core, line, row + core, new_state, r);
-        self.fill_sram(core, line, mr);
-    }
 
-    /// Installs `line` into `core`'s vault slot, handling the
-    /// direct-mapped victim: back-invalidate the SRAM (inclusion), retire
-    /// the directory entry at the victim's home (overwriting the slot is
-    /// that update), and write dirty data back to memory.
-    fn fill_vault(
-        &mut self,
-        core: usize,
-        line: LineAddr,
-        slot: usize,
-        state: State,
-        r: &mut AccessResult,
-    ) {
+        // Fill the vault slot. Overwriting a direct-mapped victim is also
+        // its directory update at its home; the victim leaves the SRAM
+        // (inclusion), and dirty data goes back to memory.
+        let slot = row + core;
         let victim = State::from_bits(self.rows.states[slot]);
-        let victim_line = LineAddr::new(self.rows.tags[slot]);
-        self.rows.tags[slot] = line.as_u64();
-        self.rows.states[slot] = state.to_bits();
+        let victim_line =
+            LineAddr::new(std::mem::replace(&mut self.rows.tags[slot], line.as_u64()));
+        self.rows.states[slot] = new_state.to_bits();
         if victim.is_valid() {
-            debug_assert_ne!(victim_line, line, "a vault miss cannot evict itself");
             self.nodes[core].invalidate(victim_line);
             self.stats.directory_evictions.inc();
             if victim.is_dirty() {
@@ -502,11 +476,6 @@ impl PrivateMoesi {
             node: core,
             dirty_writeback: victim.is_dirty(),
         });
-    }
-
-    /// Fills the SRAM levels. Node-level victims stay vault-resident, so
-    /// no directory maintenance is needed (the directory tracks vaults).
-    fn fill_sram(&mut self, core: usize, line: LineAddr, mr: MemRef) {
         self.nodes[core].fill_untracked(line, mr.kind);
     }
 
@@ -523,40 +492,33 @@ impl PrivateMoesi {
         }
     }
 
-    /// Verifies the MOESI invariants over every row: each valid slot's
-    /// tag belongs to the row's set, at most one holder of a line is
+    /// Verifies the MOESI invariants over every row: each valid slot
+    /// sits in the row its line indexes, at most one holder of a line is
     /// owner-like (M/O/E), and M or E is the only valid copy.
     ///
     /// # Errors
     ///
     /// Returns a description of the first violation found.
     pub fn check(&self) -> Result<(), String> {
-        let Rows {
-            n, tags, states, ..
-        } = &self.rows;
-        for (set, row) in self.rows.iter() {
-            for c in 0..*n {
-                let line = tags[row + c];
-                if states[row + c] == 0
-                    || (0..c).any(|w| states[row + w] != 0 && tags[row + w] == line)
-                {
-                    continue; // empty, or checked at the line's first holder
-                }
-                let line = LineAddr::new(line);
-                if line.as_u64() & self.rows.set_mask != set {
-                    return Err(format!("{line}: vault {c} holds it in set {set}"));
-                }
-                let holders: Vec<State> = (c..*n)
-                    .map(|w| self.rows.state_at(row + w, line))
-                    .filter(|s| s.is_valid())
-                    .collect();
-                let ownerlike = holders.iter().filter(|s| s.is_ownerlike()).count();
-                if ownerlike > 1 {
-                    return Err(format!("{line}: {ownerlike} owner-like copies"));
-                }
-                if holders.len() > 1 && holders.iter().any(|s| s.can_write_silently()) {
-                    return Err(format!("{line}: M/E coexists with other copies"));
-                }
+        let rows = &self.rows;
+        for slot in (0..rows.states.len()).filter(|&slot| rows.states[slot] != 0) {
+            let (row, line) = (slot - slot % rows.n, LineAddr::new(rows.tags[slot]));
+            if rows.row(line) != Some(row) {
+                return Err(format!(
+                    "{line}: vault {} holds it outside its set's row",
+                    slot - row
+                ));
+            }
+            let holders: Vec<State> = (row..row + rows.n)
+                .map(|w| rows.state_at(w, line))
+                .filter(|s| s.is_valid())
+                .collect();
+            let ownerlike = holders.iter().filter(|s| s.is_ownerlike()).count();
+            if ownerlike > 1 {
+                return Err(format!("{line}: {ownerlike} owner-like copies"));
+            }
+            if holders.len() > 1 && holders.iter().any(|s| s.can_write_silently()) {
+                return Err(format!("{line}: M/E coexists with other copies"));
             }
         }
         Ok(())

@@ -175,27 +175,25 @@ impl RowCache {
     /// or wrong, which has been deleted (best effort) so the next `put`
     /// rewrites it.
     pub(crate) fn probe(&self, key: &str) -> Result<Option<String>, PathBuf> {
-        if self.max_entries == 0 {
-            return Ok(None);
-        }
-        let Some(path) = self.path_for(key) else {
+        let Some(path) = self.path_for(key).filter(|_| self.max_entries > 0) else {
             return Ok(None);
         };
-        let Ok(mut text) = std::fs::read_to_string(&path) else {
+        let Ok(text) = std::fs::read_to_string(&path) else {
             return Ok(None);
         };
-        let intact = text.split_once('\n').is_some_and(|(head, row)| {
-            head.strip_prefix(CHECKSUM_PREFIX) == Some(&sha256_hex(row.as_bytes()))
-        });
-        if !intact {
-            if std::fs::remove_file(&path).is_ok() {
-                self.entries.fetch_sub(1, Ordering::Relaxed);
+        match text.split_once('\n') {
+            Some((sum, row))
+                if sum.strip_prefix(CHECKSUM_PREFIX) == Some(&sha256_hex(row.as_bytes())) =>
+            {
+                Ok(Some(row.to_string()))
             }
-            return Err(path);
+            _ => {
+                if std::fs::remove_file(&path).is_ok() {
+                    self.entries.fetch_sub(1, Ordering::Relaxed);
+                }
+                Err(path)
+            }
         }
-        let body = text.find('\n').expect("an intact row has a checksum line") + 1;
-        text.drain(..body);
-        Ok(Some(text))
     }
 
     /// Stores `row` under `key` (atomic: temp file + rename). Overwrites

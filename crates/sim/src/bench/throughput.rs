@@ -48,13 +48,9 @@ pub fn hotloop_matrix(refs_per_core: usize) -> SimulationBuilder {
         .refs_per_core(refs_per_core)
 }
 
-/// Matrix cells `silo-sim bench` runs at once unless `--threads` says
-/// otherwise: half the host's `host_threads`, at least one. On a host
-/// with two or more threads each cell's run starts its own engine
-/// helper thread beside the calling one (the run loop's threaded
-/// executor), so one cell per two host threads keeps every thread on a
-/// CPU of its own. On a 2-vCPU host this is one cell, the setting
-/// committed snapshots are taken with.
+/// `silo-sim bench`'s default `--threads`: half of `host_threads`, at
+/// least one, because each cell's run also starts an engine thread.
+/// On a 2-vCPU host that is one cell, as committed snapshots are taken.
 pub fn default_threads(host_threads: usize) -> usize {
     (host_threads / 2).max(1)
 }
