@@ -6,11 +6,12 @@
 //! * [`SetAssocCache`] — a set-associative cache array with pluggable
 //!   replacement, used for L1s, private L2s and the shared NUCA
 //!   SRAM/eDRAM LLCs.
-//! * [`PageCache`] — the page-based conventional DRAM cache of the
-//!   `Baseline+DRAM$` system.
-//! * [`MissMap`] — a page-granular presence map used as the local-vault
-//!   miss predictor (Sec. V-C); exact, so it models the paper's ideal
-//!   predictor, and a bounded variant models a realistic one.
+//! * [`PageCache`] — a page-based conventional DRAM cache, the paper's
+//!   `Baseline+DRAM$`. No registered system uses it.
+//! * [`MissMap`] — a page-granular presence map modelling a local-vault
+//!   miss predictor (Sec. V-C), exact or bounded. No registered system
+//!   uses it: SILO's ideal predictor is the `ideal_miss_predict` flag of
+//!   `PrivateMoesiConfig`.
 //!
 //! Caches here are *functional*: they track contents and produce
 //! hit/miss/eviction outcomes. All timing lives in `silo-sim`.

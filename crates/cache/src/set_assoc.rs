@@ -118,7 +118,7 @@ impl<P> Dense<P> {
 /// use silo_types::{ByteSize, LineAddr};
 ///
 /// let mut l1: SetAssocCache<()> =
-///     SetAssocCache::with_capacity(ByteSize::from_kib(64), 8, ReplacementPolicy::Lru);
+///     SetAssocCache::with_capacity_rounded(ByteSize::from_kib(64), 8, ReplacementPolicy::Lru);
 /// assert!(l1.get(LineAddr::new(42)).is_none());
 /// l1.insert(LineAddr::new(42), ());
 /// assert!(l1.get(LineAddr::new(42)).is_some());
@@ -132,7 +132,6 @@ pub struct SetAssocCache<P> {
     tick: u64,
     hits: u64,
     misses: u64,
-    evictions: u64,
 }
 
 impl<P> SetAssocCache<P> {
@@ -159,33 +158,13 @@ impl<P> SetAssocCache<P> {
             tick: 0,
             hits: 0,
             misses: 0,
-            evictions: 0,
         }
     }
 
-    /// Creates a cache sized for `capacity` with the given associativity.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the implied set count is not a power of two (capacities
-    /// and associativities in this workspace are powers of two) or if the
-    /// capacity is smaller than one line per way.
-    pub fn with_capacity(capacity: ByteSize, ways: usize, policy: ReplacementPolicy) -> Self {
-        assert!(ways > 0, "need at least one way");
-        let lines = capacity.lines();
-        assert!(
-            lines >= ways as u64,
-            "capacity {capacity} too small for {ways} ways"
-        );
-        let sets = lines / ways as u64;
-        Self::new(sets, ways, policy)
-    }
-
-    /// Like [`with_capacity`](Self::with_capacity), but floors the set
-    /// count to the previous power of two instead of panicking, flooring
-    /// at one set. Used when the capacity is derived (scaled by an
-    /// arbitrary factor or split across an arbitrary bank count) and thus
-    /// not guaranteed to divide evenly.
+    /// Creates a cache sized for `capacity` with the given associativity,
+    /// flooring the set count to a power of two and to at least one set:
+    /// capacities are derived (scaled by an arbitrary factor or split
+    /// across an arbitrary bank count) and need not divide evenly.
     ///
     /// # Panics
     ///
@@ -199,16 +178,6 @@ impl<P> SetAssocCache<P> {
         let sets = (capacity.lines() / ways as u64).max(1);
         let sets = 1u64 << (63 - sets.leading_zeros());
         Self::new(sets, ways, policy)
-    }
-
-    /// Number of sets.
-    pub fn sets(&self) -> u64 {
-        self.sets
-    }
-
-    /// Associativity.
-    pub fn ways(&self) -> usize {
-        self.ways
     }
 
     /// Total line capacity.
@@ -234,7 +203,7 @@ impl<P> SetAssocCache<P> {
 
     /// Set index of a line (low-order bits, as in a real indexed array).
     #[inline]
-    pub fn set_of(&self, line: LineAddr) -> u64 {
+    fn set_of(&self, line: LineAddr) -> u64 {
         line.as_u64() & (self.sets - 1)
     }
 
@@ -293,21 +262,6 @@ impl<P> SetAssocCache<P> {
                 .iter()
                 .find(|w| w.line == line)
                 .map(|w| &w.payload),
-        }
-    }
-
-    /// Mutable lookup without touching recency or statistics.
-    pub fn peek_mut(&mut self, line: LineAddr) -> Option<&mut P> {
-        let set = self.set_of(line);
-        match &mut self.table {
-            Table::Dense(d) => d
-                .find(set as usize * self.ways, self.ways, line)
-                .and_then(|i| d.payloads[i].as_mut()),
-            Table::Assoc(m) => m
-                .get_mut(&set)?
-                .iter_mut()
-                .find(|w| w.line == line)
-                .map(|w| &mut w.payload),
         }
     }
 
@@ -389,12 +343,9 @@ impl<P> SetAssocCache<P> {
             }
         };
 
-        evicted.map(|old| {
-            self.evictions += 1;
-            EvictionVictim {
-                line: old.line,
-                payload: old.payload,
-            }
+        evicted.map(|old| EvictionVictim {
+            line: old.line,
+            payload: old.payload,
         })
     }
 
@@ -450,30 +401,11 @@ impl<P> SetAssocCache<P> {
         self.misses
     }
 
-    /// Evictions caused by [`insert`](Self::insert).
-    pub fn evictions(&self) -> u64 {
-        self.evictions
-    }
-
-    /// Resets hit/miss/eviction statistics, keeping contents (used at the
+    /// Resets hit/miss statistics, keeping contents (used at the
     /// warmup/measurement boundary).
     pub fn reset_stats(&mut self) {
         self.hits = 0;
         self.misses = 0;
-        self.evictions = 0;
-    }
-
-    /// Drops all contents and statistics.
-    pub fn clear(&mut self) {
-        match &mut self.table {
-            Table::Dense(d) => {
-                d.stamps.fill(0);
-                d.payloads.iter_mut().for_each(|p| *p = None);
-            }
-            Table::Assoc(m) => m.clear(),
-        }
-        self.tick = 0;
-        self.reset_stats();
     }
 }
 
@@ -508,7 +440,6 @@ mod tests {
         assert_eq!(victim.line, LineAddr::new(4));
         assert!(c.contains(LineAddr::new(0)));
         assert!(c.contains(LineAddr::new(8)));
-        assert_eq!(c.evictions(), 1);
     }
 
     #[test]
@@ -553,15 +484,6 @@ mod tests {
     }
 
     #[test]
-    fn with_capacity_sizes_correctly() {
-        let c: SetAssocCache<()> =
-            SetAssocCache::with_capacity(ByteSize::from_kib(64), 8, ReplacementPolicy::Lru);
-        assert_eq!(c.capacity_lines(), 1024);
-        assert_eq!(c.sets(), 128);
-        assert_eq!(c.ways(), 8);
-    }
-
-    #[test]
     #[should_panic(expected = "power of two")]
     fn non_power_of_two_sets_rejected() {
         SetAssocCache::<()>::new(3, 1, ReplacementPolicy::Lru);
@@ -575,18 +497,19 @@ mod tests {
             8,
             ReplacementPolicy::Lru,
         );
-        assert_eq!(c.sets(), 8);
+        assert_eq!(c.sets, 8);
         // Smaller than one line per way still yields one set.
         let c: SetAssocCache<()> = SetAssocCache::with_capacity_rounded(
             ByteSize::from_bytes(64),
             16,
             ReplacementPolicy::Lru,
         );
-        assert_eq!(c.sets(), 1);
+        assert_eq!(c.sets, 1);
         // Exact powers of two are preserved.
         let c: SetAssocCache<()> =
             SetAssocCache::with_capacity_rounded(ByteSize::from_kib(64), 8, ReplacementPolicy::Lru);
-        assert_eq!(c.sets(), 128);
+        assert_eq!((c.sets, c.ways), (128, 8));
+        assert_eq!(c.capacity_lines(), 1024);
     }
 
     #[test]
@@ -611,7 +534,7 @@ mod tests {
     }
 
     #[test]
-    fn clear_and_reset_stats() {
+    fn reset_stats_keeps_contents() {
         let mut c = tiny(2);
         c.insert(LineAddr::new(1), 1);
         c.get(LineAddr::new(1));
@@ -619,17 +542,6 @@ mod tests {
         c.reset_stats();
         assert_eq!(c.hits() + c.misses(), 0);
         assert!(c.contains(LineAddr::new(1)), "reset_stats keeps contents");
-        c.clear();
-        assert!(c.is_empty());
-    }
-
-    #[test]
-    fn peek_mut_allows_payload_update() {
-        let mut c = tiny(2);
-        c.insert(LineAddr::new(1), 1);
-        *c.peek_mut(LineAddr::new(1)).unwrap() = 5;
-        assert_eq!(c.peek(LineAddr::new(1)), Some(&5));
-        assert!(c.peek_mut(LineAddr::new(2)).is_none());
     }
 
     /// Sets × ways beyond [`DENSE_MAX_LINES`] at one way, forcing the
@@ -651,7 +563,7 @@ mod tests {
             matches!(c.table, Table::Assoc(_)),
             "layout above the dense bound"
         );
-        let sets = c.sets();
+        let sets = c.sets;
         c.insert(LineAddr::new(1), 10);
         assert_eq!(c.get(LineAddr::new(1)), Some(&mut 10));
         // The conflicting line one stride away evicts the resident one.
@@ -672,7 +584,7 @@ mod tests {
             matches!(c.table, Table::Assoc(_)),
             "layout above the dense bound"
         );
-        let sets = c.sets();
+        let sets = c.sets;
         // Fill set 0's four ways, touch line 0 so `sets` becomes LRU.
         for i in 0..4 {
             assert!(c.insert(LineAddr::new(i * sets), i as u32).is_none());
@@ -682,7 +594,6 @@ mod tests {
         assert_eq!(v.line, LineAddr::new(sets));
         assert!(c.contains(LineAddr::new(0)));
         assert_eq!(c.len(), 4);
-        assert_eq!(c.evictions(), 1);
         let mut lines: Vec<u64> = c.iter().map(|(l, _)| l.as_u64()).collect();
         lines.sort_unstable();
         assert_eq!(lines, vec![0, 2 * sets, 3 * sets, 4 * sets]);

@@ -39,6 +39,11 @@
 //! Backpressure is explicit: `429` when a client exceeds its active-job
 //! quota, `503` when the global point queue is full or the daemon is
 //! draining.
+//!
+//! The daemon keeps every active job and the newest
+//! [`FINISHED_JOBS_KEPT`] finished ones; the job endpoints answer `410`
+//! for an older id (resubmitting the scenario is answered from the row
+//! cache) and `404` for an id never issued.
 
 #![forbid(unsafe_code)]
 
@@ -47,7 +52,7 @@ pub mod http;
 pub mod server;
 
 pub use cache::RowCache;
-pub use server::{start, ServeConfig, ServerHandle};
+pub use server::{start, ServeConfig, ServerHandle, FINISHED_JOBS_KEPT};
 
 pub use silo_obs as obs;
 

@@ -15,13 +15,18 @@
 //! job finishes, so a crash (even `kill -9`) loses no accepted work —
 //! restarting with `resume` replays the journal and completed points
 //! come straight from the cache.
+//!
+//! The job table keeps every active job and the newest
+//! [`FINISHED_JOBS_KEPT`] finished ones, so the daemon's memory does not
+//! grow with the number of jobs it has served. An older id answers
+//! `410 Gone`; resubmitting its scenario is answered from the row cache.
 
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::io::{self, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -37,6 +42,10 @@ use crate::{JobEngine, JobPlan, PointOutput};
 const QUEUE_DIR: &str = "queue";
 /// How often blocked waiters re-check the shutdown flag.
 const WAIT_TICK: Duration = Duration::from_millis(200);
+/// Finished (complete or failed) jobs kept in the job table, newest
+/// first; older ones are evicted and their ids answer `410 Gone`. Each
+/// keeps its rows and epoch events, tens of KiB for a Fig. 11 sweep.
+pub const FINISHED_JOBS_KEPT: usize = 64;
 
 /// Daemon configuration. `Default` gives sensible local-use values;
 /// the CLI overrides from flags.
@@ -237,28 +246,83 @@ struct JobState<J> {
     client: String,
     job: Arc<J>,
     sweep_hash: String,
-    /// Completed row text per point, filled as points finish.
-    rows: Vec<Option<String>>,
-    /// Auxiliary event records per point (empty when the point produced
-    /// none, or when a cache hit predates event sidecars).
-    events: Vec<Vec<String>>,
+    /// Each point's row and auxiliary event records (events are empty
+    /// when the point produced none, or when a cache hit predates event
+    /// sidecars), set once as the point finishes. Shared, so a stream
+    /// reads rows without the state lock and still finishes if the job
+    /// is evicted from the table while it streams.
+    points: Arc<[OnceLock<PointOutput>]>,
     done: usize,
     /// Points satisfied from the cache at submission.
     cached: usize,
     phase: JobPhase,
 }
 
+impl<J> JobState<J> {
+    /// Active with no point done beyond the submission's cache hits.
+    fn waiting(&self) -> bool {
+        matches!(self.phase, JobPhase::Active) && self.done == self.cached
+    }
+}
+
+/// Job counts by phase, kept as jobs change phase so `/status` and
+/// `/metrics` read them without scanning the job table. `complete` and
+/// `failed` are cumulative: they include evicted jobs.
+#[derive(Clone, Copy, Default)]
+struct JobCounts {
+    active: usize,
+    /// Active jobs still waiting for their first computed point.
+    waiting: usize,
+    complete: u64,
+    failed: u64,
+}
+
 /// Mutable daemon state behind the mutex.
 struct State<J> {
     next_job: u64,
     queue: BinaryHeap<QueuedPoint>,
+    /// Every active job plus the newest [`FINISHED_JOBS_KEPT`] finished
+    /// ones.
     jobs: HashMap<u64, JobState<J>>,
+    /// Ids of the finished jobs in `jobs`, in completion order.
+    finished: VecDeque<u64>,
+    counts: JobCounts,
+    /// Queue slots held for submissions writing their journal entry.
+    reserved_points: usize,
     /// Content key -> subscribers `(job, point index)` awaiting it.
     /// Presence means the point is queued or running; later jobs
     /// needing the same key subscribe instead of re-enqueueing.
     inflight: HashMap<String, Vec<(u64, usize)>>,
     /// Active (incomplete) job count per client, for quota checks.
     active_jobs: HashMap<String, usize>,
+}
+
+impl<J> State<J> {
+    /// Whether `id` was handed out by a submission.
+    fn issued(&self, id: u64) -> bool {
+        (1..self.next_job).contains(&id)
+    }
+
+    /// Records that job `id` just finished, evicting the oldest
+    /// finished job beyond [`FINISHED_JOBS_KEPT`].
+    fn retire(&mut self, id: u64) {
+        self.finished.push_back(id);
+        while self.finished.len() > FINISHED_JOBS_KEPT {
+            if let Some(old) = self.finished.pop_front() {
+                self.jobs.remove(&old);
+            }
+        }
+    }
+
+    /// Releases one of `client`'s active-job quota slots.
+    fn release_quota(&mut self, client: &str) {
+        if let Some(n) = self.active_jobs.get_mut(client) {
+            *n = n.saturating_sub(1);
+            if *n == 0 {
+                self.active_jobs.remove(client);
+            }
+        }
+    }
 }
 
 /// Shared daemon internals: engine, cache, state, and wakeups.
@@ -374,6 +438,9 @@ pub fn start<E: JobEngine>(engine: E, cfg: ServeConfig) -> io::Result<ServerHand
             next_job: 1,
             queue: BinaryHeap::new(),
             jobs: HashMap::new(),
+            finished: VecDeque::new(),
+            counts: JobCounts::default(),
+            reserved_points: 0,
             inflight: HashMap::new(),
             active_jobs: HashMap::new(),
         }),
@@ -492,6 +559,11 @@ fn cached_row<E: JobEngine>(shared: &Shared<E>, key: &str) -> Option<String> {
 
 /// Plans and enqueues one submission. Cache-satisfied points never
 /// enter the queue; points already inflight are subscribed to.
+///
+/// No disk I/O happens under the state lock. The first hold checks the
+/// quota and the queue room and reserves the id, the quota slot and the
+/// queue slots; the journal entry is written with the lock released;
+/// the second hold enqueues.
 fn submit<E: JobEngine>(
     shared: &Shared<E>,
     client: &str,
@@ -502,8 +574,10 @@ fn submit<E: JobEngine>(
     if shared.shutdown.load(Ordering::SeqCst) {
         return Err(SubmitError::ShuttingDown);
     }
-    // Plan (scenario parse + validation through the engine) and hash
-    // every point outside the lock; both are pure.
+    // Plan (scenario parse + validation through the engine), hash every
+    // point and probe the cache outside the lock. A miss that races a
+    // worker's cache write costs nothing: the worker probes the cache
+    // again before it runs a queued point.
     let JobPlan {
         job,
         points,
@@ -515,7 +589,29 @@ fn submit<E: JobEngine>(
     let keys: Vec<String> = (0..points)
         .map(|i| shared.engine.point_key(&job, i))
         .collect();
-    let job = Arc::new(job);
+    let outputs: Vec<OnceLock<PointOutput>> = keys
+        .iter()
+        .map(|key| match cached_row(shared, key) {
+            Some(row) => OnceLock::from(PointOutput {
+                row,
+                events: shared.cache.get_events(key).unwrap_or_default(),
+            }),
+            None => OnceLock::new(),
+        })
+        .collect();
+    let misses: Vec<usize> = (0..points)
+        .filter(|&i| outputs[i].get().is_none())
+        .collect();
+    let cached = points - misses.len();
+    let mut state = JobState {
+        client: client.to_string(),
+        job: Arc::new(job),
+        sweep_hash: sweep_hash.clone(),
+        points: outputs.into(),
+        done: cached,
+        cached,
+        phase: JobPhase::Active,
+    };
 
     let mut st = shared.lock_state();
     if st.active_jobs.get(client).copied().unwrap_or(0) >= shared.cfg.client_quota {
@@ -523,23 +619,11 @@ fn submit<E: JobEngine>(
             limit: shared.cfg.client_quota,
         });
     }
-    let mut rows: Vec<Option<String>> = vec![None; points];
-    let mut events: Vec<Vec<String>> = vec![Vec::new(); points];
-    let mut misses: Vec<usize> = Vec::new();
-    for (i, key) in keys.iter().enumerate() {
-        match cached_row(shared, key) {
-            Some(row) => {
-                rows[i] = Some(row);
-                events[i] = shared.cache.get_events(key).unwrap_or_default();
-            }
-            None => misses.push(i),
-        }
-    }
     let fresh = misses
         .iter()
         .filter(|&&i| !st.inflight.contains_key(&keys[i]))
         .count();
-    if st.queue.len() + fresh > shared.cfg.queue_capacity {
+    if st.queue.len() + st.reserved_points + fresh > shared.cfg.queue_capacity {
         return Err(SubmitError::QueueFull {
             capacity: shared.cfg.queue_capacity,
         });
@@ -547,25 +631,15 @@ fn submit<E: JobEngine>(
 
     let id = st.next_job;
     st.next_job += 1;
-    let cached = points - misses.len();
     shared.metrics.cache_hits.add(cached as u64);
 
     if misses.is_empty() {
         // Fully served from the cache: complete on arrival, nothing to
         // journal, no quota consumed.
-        st.jobs.insert(
-            id,
-            JobState {
-                client: client.to_string(),
-                job,
-                sweep_hash: sweep_hash.clone(),
-                rows,
-                events,
-                done: points,
-                cached,
-                phase: JobPhase::Complete,
-            },
-        );
+        state.phase = JobPhase::Complete;
+        st.jobs.insert(id, state);
+        st.counts.complete += 1;
+        st.retire(id);
         drop(st);
         shared.log.info(
             "serve.job",
@@ -584,23 +658,32 @@ fn submit<E: JobEngine>(
             sweep_hash,
         });
     }
+    *st.active_jobs.entry(client.to_string()).or_insert(0) += 1;
+    st.reserved_points += fresh;
+    drop(st);
 
     if journal {
-        // Write-ahead: the body hits disk before any point runs, so a
-        // crash after this line cannot lose the accepted job. The write
+        // Write-ahead: the body hits disk before any point is queued, so
+        // a crash after this line cannot lose the accepted job. The write
         // is atomic: a crash during it leaves only a `.job.tmp`, which
         // resume ignores, never a truncated `.job` that could parse as
         // a different scenario.
         let entry = format!("client {client}\npriority {priority}\n\n{body}");
-        write_atomic(&shared.journal_path(id), entry)
-            .map_err(|e| SubmitError::Io(format!("journal write failed: {e}")))?;
+        if let Err(e) = write_atomic(&shared.journal_path(id), entry) {
+            let mut st = shared.lock_state();
+            st.release_quota(client);
+            st.reserved_points -= fresh;
+            return Err(SubmitError::Io(format!("journal write failed: {e}")));
+        }
         shared.log.debug(
             "serve.journal",
             "job journalled ahead of execution",
             &[("job", &id.to_string()), ("client", client)],
         );
     }
-    *st.active_jobs.entry(client.to_string()).or_insert(0) += 1;
+
+    let mut st = shared.lock_state();
+    st.reserved_points -= fresh;
     let enqueued_us = shared.spans.now_us();
     for &i in &misses {
         let key = keys[i].clone();
@@ -626,19 +709,9 @@ fn submit<E: JobEngine>(
         .metrics
         .queue_depth
         .set(i64::try_from(st.queue.len()).unwrap_or(i64::MAX));
-    st.jobs.insert(
-        id,
-        JobState {
-            client: client.to_string(),
-            job,
-            sweep_hash: sweep_hash.clone(),
-            rows,
-            events,
-            done: cached,
-            cached,
-            phase: JobPhase::Active,
-        },
-    );
+    st.jobs.insert(id, state);
+    st.counts.active += 1;
+    st.counts.waiting += 1;
     drop(st);
     shared.log.info(
         "serve.job",
@@ -786,11 +859,18 @@ fn worker_loop<E: JobEngine>(shared: &Shared<E>) {
             deliver(shared, &task.key, &Ok(PointOutput { row, events }));
             continue;
         }
+        // The point runs as part of any subscribed job still in the
+        // table (the queuing job comes first): the job that queued it
+        // may have failed since and been evicted.
         let job = {
             let st = shared.lock_state();
-            st.jobs.get(&task.job).map(|j| Arc::clone(&j.job))
+            st.inflight
+                .get(&task.key)
+                .into_iter()
+                .flatten()
+                .find_map(|&(id, idx)| st.jobs.get(&id).map(|j| (Arc::clone(&j.job), idx)))
         };
-        let Some(job) = job else {
+        let Some((job, idx)) = job else {
             deliver(shared, &task.key, &Err("job vanished".to_string()));
             continue;
         };
@@ -799,7 +879,7 @@ fn worker_loop<E: JobEngine>(shared: &Shared<E>) {
         shared.metrics.workers_busy.inc();
         let t_run = spans.now_us();
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            shared.engine.run_point(&job, task.idx)
+            shared.engine.run_point(&job, idx)
         }))
         .unwrap_or_else(|_| Err("panic while running sweep point".to_string()));
         let t_run_end = spans.now_us();
@@ -871,23 +951,24 @@ fn worker_loop<E: JobEngine>(shared: &Shared<E>) {
 }
 
 /// Hands a finished point to every subscribed job and finalizes jobs
-/// that just completed (or failed): quota released, journal removed.
+/// that just completed (or failed): quota released, journal removed,
+/// and the oldest finished job evicted beyond [`FINISHED_JOBS_KEPT`].
 fn deliver<E: JobEngine>(shared: &Shared<E>, key: &str, result: &Result<PointOutput, String>) {
     let mut st = shared.lock_state();
     let subs = st.inflight.remove(key).unwrap_or_default();
     let mut finished: Vec<(String, u64, Option<String>)> = Vec::new();
+    let State { jobs, counts, .. } = &mut *st;
     for (job_id, idx) in subs {
-        let Some(job) = st.jobs.get_mut(&job_id) else {
+        let Some(job) = jobs.get_mut(&job_id) else {
             continue;
         };
+        let was_waiting = job.waiting();
         match result {
             Ok(out) => {
-                if job.rows[idx].is_none() {
-                    job.rows[idx] = Some(out.row.clone());
-                    job.events[idx] = out.events.clone();
+                if job.points[idx].set(out.clone()).is_ok() {
                     job.done += 1;
                 }
-                if job.done == job.rows.len() && matches!(job.phase, JobPhase::Active) {
+                if job.done == job.points.len() && matches!(job.phase, JobPhase::Active) {
                     job.phase = JobPhase::Complete;
                     finished.push((job.client.clone(), job_id, None));
                 }
@@ -899,18 +980,23 @@ fn deliver<E: JobEngine>(shared: &Shared<E>, key: &str, result: &Result<PointOut
                 }
             }
         }
-    }
-    for (client, id, _) in &finished {
-        if let Some(n) = st.active_jobs.get_mut(client) {
-            *n = n.saturating_sub(1);
-            if *n == 0 {
-                st.active_jobs.remove(client);
-            }
+        if was_waiting && !job.waiting() {
+            counts.waiting -= 1;
         }
-        let _ = std::fs::remove_file(shared.journal_path(*id));
+    }
+    for (client, id, error) in &finished {
+        st.counts.active -= 1;
+        if error.is_some() {
+            st.counts.failed += 1;
+        } else {
+            st.counts.complete += 1;
+        }
+        st.release_quota(client);
+        st.retire(*id);
     }
     drop(st);
     for (client, id, error) in finished {
+        let _ = std::fs::remove_file(shared.journal_path(id));
         match error {
             None => shared.log.info(
                 "serve.job",
@@ -1117,41 +1203,20 @@ fn handle_status<E: JobEngine>(
     ctx: &ReqCtx<'_>,
     w: &mut impl Write,
 ) -> io::Result<u16> {
-    let (total, active, stuck, done_jobs, failed, queued) = {
+    let (total, c, queued) = {
         let st = shared.lock_state();
-        let mut active = 0usize;
-        let mut stuck = 0usize;
-        let mut done_jobs = 0usize;
-        let mut failed = 0usize;
-        for j in st.jobs.values() {
-            match j.phase {
-                JobPhase::Active => {
-                    active += 1;
-                    // No progress beyond submission-time cache hits:
-                    // still waiting for its first computed point.
-                    if j.done == j.cached {
-                        stuck += 1;
-                    }
-                }
-                JobPhase::Complete => done_jobs += 1,
-                JobPhase::Failed(_) => failed += 1,
-            }
-        }
-        (
-            st.next_job - 1,
-            active,
-            stuck,
-            done_jobs,
-            failed,
-            st.queue.len(),
-        )
+        (st.next_job - 1, st.counts, st.queue.len())
     };
     let body = format!(
-        "{{\"version\":\"{}\",\"jobs\":{{\"total\":{total},\"active\":{active},\
-         \"queued\":{stuck},\"done\":{done_jobs},\"failed\":{failed}}},\
+        "{{\"version\":\"{}\",\"jobs\":{{\"total\":{total},\"active\":{},\
+         \"queued\":{},\"done\":{},\"failed\":{}}},\
          \"points\":{{\"queued\":{queued},\"computed\":{},\"cached\":{}}},\
          \"cache\":{{\"rows\":{}}},\"workers\":{}}}\n",
         silo_types::VERSION,
+        c.active,
+        c.waiting,
+        c.complete,
+        c.failed,
         shared.metrics.cache_misses.get(),
         shared.metrics.cache_hits.get(),
         shared.cache.len(),
@@ -1169,13 +1234,7 @@ fn handle_metrics<E: JobEngine>(
 ) -> io::Result<u16> {
     let (queue, jobs_active) = {
         let st = shared.lock_state();
-        (
-            st.queue.len(),
-            st.jobs
-                .values()
-                .filter(|j| matches!(j.phase, JobPhase::Active))
-                .count(),
-        )
+        (st.queue.len(), st.counts.active)
     };
     shared
         .metrics
@@ -1273,8 +1332,9 @@ fn handle_job_status<E: JobEngine>(
 ) -> io::Result<u16> {
     let st = shared.lock_state();
     let Some(job) = st.jobs.get(&id) else {
+        let issued = st.issued(id);
         drop(st);
-        return error_response(ctx, w, 404, "no such job");
+        return missing_job(ctx, w, id, issued);
     };
     let (state, error) = match &job.phase {
         JobPhase::Active => ("active", String::new()),
@@ -1289,13 +1349,31 @@ fn handle_job_status<E: JobEngine>(
     let body = format!(
         "{{\"job\":{id},\"state\":\"{state}\",\"points\":{},\"done\":{},\
          \"cached\":{},\"sweep\":\"{}\"{error}}}\n",
-        job.rows.len(),
+        job.points.len(),
         job.done,
         job.cached,
         job.sweep_hash,
     );
     drop(st);
     respond(ctx, w, 200, "application/json", &body)
+}
+
+/// Answers a request for a job id the table does not hold: `410` for
+/// an issued id (a finished job evicted beyond [`FINISHED_JOBS_KEPT`]),
+/// `404` for one never issued.
+fn missing_job(ctx: &ReqCtx<'_>, w: &mut impl Write, id: u64, issued: bool) -> io::Result<u16> {
+    if issued {
+        error_response(ctx, w, 410, &expired(id))
+    } else {
+        error_response(ctx, w, 404, "no such job")
+    }
+}
+
+fn expired(id: u64) -> String {
+    format!(
+        "job {id} expired: only the newest {FINISHED_JOBS_KEPT} finished jobs are kept; \
+         resubmitting its scenario is answered from the row cache"
+    )
 }
 
 /// Blocks until the job completes, then answers with the full document
@@ -1310,8 +1388,9 @@ fn handle_result<E: JobEngine>(
     let mut st = shared.lock_state();
     loop {
         let Some(job) = st.jobs.get(&id) else {
+            let issued = st.issued(id);
             drop(st);
-            return error_response(ctx, w, 404, "no such job");
+            return missing_job(ctx, w, id, issued);
         };
         match &job.phase {
             JobPhase::Failed(e) => {
@@ -1321,12 +1400,12 @@ fn handle_result<E: JobEngine>(
             }
             JobPhase::Complete => {
                 let job_arc = Arc::clone(&job.job);
-                let rows: Vec<String> = job
-                    .rows
-                    .iter()
-                    .map(|r| r.clone().expect("complete job has every row"))
-                    .collect();
+                let points = Arc::clone(&job.points);
                 drop(st);
+                let rows: Vec<String> = points
+                    .iter()
+                    .map(|p| p.get().expect("complete job has every row").row.clone())
+                    .collect();
                 return match shared.engine.try_document(&job_arc, &rows) {
                     Ok(doc) => respond(ctx, w, 200, "application/json", &doc),
                     Err(e) => error_response(ctx, w, 500, &format!("job {id}: {e}")),
@@ -1347,8 +1426,39 @@ fn handle_result<E: JobEngine>(
     }
 }
 
+/// Blocks until `slot`, one of job `id`'s points, is set. Fails when the
+/// job fails, or on shutdown.
+fn await_point<'a, E: JobEngine>(
+    shared: &Shared<E>,
+    id: u64,
+    slot: &'a OnceLock<PointOutput>,
+) -> Result<&'a PointOutput, String> {
+    let mut st = shared.lock_state();
+    loop {
+        if let Some(out) = slot.get() {
+            return Ok(out);
+        }
+        match st.jobs.get(&id).map(|j| &j.phase) {
+            Some(JobPhase::Failed(e)) => return Err(e.clone()),
+            // Only finished jobs leave the table, and a complete one has
+            // every point: this one failed and has been evicted since.
+            None => return Err(expired(id)),
+            Some(_) => {}
+        }
+        if shared.shutdown.load(Ordering::SeqCst) {
+            return Err("shutting down".to_string());
+        }
+        st = shared
+            .row_cv
+            .wait_timeout(st, WAIT_TICK)
+            .unwrap_or_else(PoisonError::into_inner)
+            .0;
+    }
+}
+
 /// Streams rows live as newline-delimited JSON chunks, in point order,
-/// as they complete.
+/// as they complete. The job's points are read through their shared
+/// slots, so the stream finishes even if the job is evicted meanwhile.
 ///
 /// Two wire formats share this endpoint. The default is the pre-PR-9
 /// format — one raw row per line, byte-identical to what older clients
@@ -1366,84 +1476,40 @@ fn handle_stream<E: JobEngine>(
 ) -> io::Result<u16> {
     let epoch_mode = req.query_param("telemetry").is_some_and(|v| v == "epoch")
         || req.header("x-silo-stream").is_some_and(|v| v == "epoch");
-    {
+    let points = {
         let st = shared.lock_state();
-        if !st.jobs.contains_key(&id) {
-            drop(st);
-            return error_response(ctx, w, 404, "no such job");
+        match st.jobs.get(&id) {
+            Some(job) => Arc::clone(&job.points),
+            None => {
+                let issued = st.issued(id);
+                drop(st);
+                return missing_job(ctx, w, id, issued);
+            }
         }
-    }
+    };
     let t_respond = ctx.spans.now_us();
     http::start_chunked(w, 200, "application/x-ndjson")?;
-    enum Step {
-        Row(String, Vec<String>),
-        Done,
-        Fail(String),
-    }
-    let mut cursor = 0usize;
-    loop {
-        let step = {
-            let mut st = shared.lock_state();
-            loop {
-                let Some(job) = st.jobs.get(&id) else {
-                    break Step::Fail("job vanished".to_string());
-                };
-                if cursor >= job.rows.len() {
-                    break Step::Done;
-                }
-                if let Some(row) = &job.rows[cursor] {
-                    let events = if epoch_mode {
-                        job.events[cursor].clone()
-                    } else {
-                        Vec::new()
-                    };
-                    break Step::Row(row.clone(), events);
-                }
-                if let JobPhase::Failed(e) = &job.phase {
-                    break Step::Fail(e.clone());
-                }
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    break Step::Fail("shutting down".to_string());
-                }
-                st = shared
-                    .row_cv
-                    .wait_timeout(st, WAIT_TICK)
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .0;
-            }
-        };
-        match step {
-            Step::Row(row, events) => {
+    for (cursor, slot) in points.iter().enumerate() {
+        let (chunk, failed) = match slot.get().map_or_else(|| await_point(shared, id, slot), Ok) {
+            Ok(PointOutput { row, events }) if epoch_mode => {
                 let mut chunk = String::new();
-                if epoch_mode {
-                    for e in &events {
-                        chunk.push_str(e);
-                        chunk.push('\n');
-                    }
-                    chunk.push_str(&format!(
-                        "{{\"type\":\"row\",\"point\":{cursor},\"data\":{row}}}\n"
-                    ));
-                } else {
-                    chunk = format!("{row}\n");
+                for e in events {
+                    chunk.push_str(e);
+                    chunk.push('\n');
                 }
-                shared.metrics.stream_bytes.add(chunk.len() as u64);
-                http::write_chunk(w, &chunk)?;
-                cursor += 1;
+                chunk.push_str(&format!(
+                    "{{\"type\":\"row\",\"point\":{cursor},\"data\":{row}}}\n"
+                ));
+                (chunk, false)
             }
-            Step::Done => break,
-            Step::Fail(e) => {
-                let chunk = error_body(
-                    if epoch_mode {
-                        "\"type\":\"error\","
-                    } else {
-                        ""
-                    },
-                    &e,
-                );
-                shared.metrics.stream_bytes.add(chunk.len() as u64);
-                http::write_chunk(w, &chunk)?;
-                break;
-            }
+            Ok(out) => (format!("{}\n", out.row), false),
+            Err(e) if epoch_mode => (error_body("\"type\":\"error\",", &e), true),
+            Err(e) => (error_body("", &e), true),
+        };
+        shared.metrics.stream_bytes.add(chunk.len() as u64);
+        http::write_chunk(w, &chunk)?;
+        if failed {
+            break;
         }
     }
     http::finish_chunked(w)?;

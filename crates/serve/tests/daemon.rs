@@ -2,8 +2,9 @@
 //! submission and result retrieval, quota (429) and backpressure (503)
 //! rejections, inflight sharing across concurrent overlapping jobs,
 //! cache persistence across daemon restarts (zero recompute), journal
-//! resume after an interrupted run, live row streaming, and the error
-//! surface (400/404/405).
+//! resume after an interrupted run, live row streaming, the bounded
+//! table of finished jobs (410 beyond it), and the error surface
+//! (400/404/405).
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -12,7 +13,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Duration;
 
-use silo_serve::{start, JobEngine, JobPlan, PointOutput, ServeConfig};
+use silo_serve::{start, JobEngine, JobPlan, PointOutput, ServeConfig, FINISHED_JOBS_KEPT};
 use silo_types::sha::sha256_hex;
 
 // ---------------------------------------------------------------------------
@@ -71,11 +72,14 @@ impl Gate {
 
 struct MockJob {
     name: String,
+    /// Index of the job's first point in the name's point series.
+    offset: usize,
 }
 
-/// Plans bodies of the form `name = X\npoints = N\n`; each point's row
-/// is deterministic in (name, index), so overlapping submissions are
-/// content-identical the way real sweep points are.
+/// Plans bodies of the form `name = X\npoints = N\n` (plus an optional
+/// `offset = K`: the job's points are the name's points `K..K+N`); each
+/// point's row is deterministic in (name, index), so overlapping
+/// submissions are content-identical the way real sweep points are.
 struct MockEngine {
     gate: Arc<Gate>,
     delay: Duration,
@@ -102,12 +106,16 @@ impl JobEngine for MockEngine {
     fn plan(&self, body: &str) -> Result<JobPlan<MockJob>, String> {
         let mut name = None;
         let mut points = 1usize;
+        let mut offset = 0usize;
         for line in body.lines() {
             if let Some((k, v)) = line.split_once('=') {
                 match k.trim() {
                     "name" => name = Some(v.trim().to_string()),
                     "points" => {
                         points = v.trim().parse().map_err(|_| "bad points".to_string())?;
+                    }
+                    "offset" => {
+                        offset = v.trim().parse().map_err(|_| "bad offset".to_string())?;
                     }
                     other => return Err(format!("unknown key '{other}'")),
                 }
@@ -116,14 +124,14 @@ impl JobEngine for MockEngine {
         let name = name.ok_or_else(|| "missing 'name ='".to_string())?;
         let sweep_hash = sha256_hex(format!("{name}/{points}").as_bytes());
         Ok(JobPlan {
-            job: MockJob { name },
+            job: MockJob { name, offset },
             points,
             sweep_hash,
         })
     }
 
     fn point_key(&self, job: &MockJob, index: usize) -> String {
-        sha256_hex(format!("{}:{index}", job.name).as_bytes())
+        sha256_hex(format!("{}:{}", job.name, job.offset + index).as_bytes())
     }
 
     fn run_point(&self, job: &MockJob, index: usize) -> Result<PointOutput, String> {
@@ -132,7 +140,9 @@ impl JobEngine for MockEngine {
             std::thread::sleep(self.delay);
         }
         self.runs.fetch_add(1, Ordering::SeqCst);
-        if job.name == "explode" {
+        let index = job.offset + index;
+        // Every point of `explode` fails; of `brittle`, only the first.
+        if job.name == "explode" || (job.name == "brittle" && index == 0) {
             return Err(format!("point {index} exploded"));
         }
         // Jobs named epoch-* also produce auxiliary typed records, the
@@ -587,6 +597,226 @@ fn failed_points_fail_the_job_with_500() {
     assert!(result.body.contains("exploded"), "{}", result.body);
     let job = get(addr, &format!("/jobs/{id}"));
     assert!(job.body.contains("\"state\":\"failed\""), "{}", job.body);
+    server.shutdown();
+    server.join();
+}
+
+/// Submits `body` `n` times, asserting every submission is served
+/// entirely from the cache; returns the last job id.
+fn submit_cached(addr: SocketAddr, body: &str, points: usize, n: usize) -> u64 {
+    let mut last = 0;
+    for _ in 0..n {
+        let r = post(addr, "/jobs", "a", body);
+        assert!(
+            r.body.contains(&format!("\"cached\":{points}")),
+            "{}",
+            r.body
+        );
+        last = job_id(&r);
+    }
+    last
+}
+
+/// The `"jobs":{...}` object `/status` reports.
+fn status_jobs(addr: SocketAddr, total: usize, done: usize, failed: usize) -> (String, String) {
+    let body = get(addr, "/status").body;
+    let want = format!(
+        "\"jobs\":{{\"total\":{total},\"active\":0,\"queued\":0,\"done\":{done},\"failed\":{failed}}}"
+    );
+    (body, want)
+}
+
+#[test]
+fn finished_jobs_beyond_the_bound_expire_with_410() {
+    let (engine, runs) = MockEngine::new(Gate::opened());
+    let server = start(engine, config("expire")).expect("start");
+    let addr = server.addr();
+    let body = "name = kept\npoints = 2\n";
+    let first = job_id(&post(addr, "/jobs", "a", body));
+    assert_eq!(first, 1);
+    let document = get(addr, "/jobs/1/result");
+    assert_eq!(document.status, 200, "{}", document.body);
+    let stream = get(addr, "/jobs/1/stream").body;
+
+    let submitted = FINISHED_JOBS_KEPT + 6;
+    let last = submit_cached(addr, body, 2, submitted - 1);
+    assert_eq!(
+        runs.load(Ordering::SeqCst),
+        2,
+        "resubmissions recompute nothing"
+    );
+    for path in ["", "/result", "/stream"] {
+        let gone = get(addr, &format!("/jobs/1{path}"));
+        assert_eq!(gone.status, 410, "/jobs/1{path}: {}", gone.body);
+        assert!(gone.body.contains("job 1 expired"), "{}", gone.body);
+        assert!(gone.body.contains("row cache"), "{}", gone.body);
+    }
+    let newest = get(addr, &format!("/jobs/{last}/result"));
+    assert_eq!(newest.status, 200, "{}", newest.body);
+    assert_eq!(newest.body, document.body);
+    assert_eq!(get(addr, &format!("/jobs/{last}/stream")).body, stream);
+    assert!(get(addr, &format!("/jobs/{last}"))
+        .body
+        .contains("\"state\":\"complete\""));
+    // Ids never issued stay 404.
+    assert_eq!(get(addr, &format!("/jobs/{}", last + 1)).status, 404);
+    assert_eq!(get(addr, "/jobs/0").status, 404);
+    let (status, want) = status_jobs(addr, submitted, submitted, 0);
+    assert!(status.contains(&want), "{status}");
+
+    server.shutdown();
+    server.join();
+}
+
+#[test]
+fn cached_floods_keep_at_most_the_bound_of_finished_jobs() {
+    let (engine, _) = MockEngine::new(Gate::opened());
+    let server = start(engine, config("flood")).expect("start");
+    let addr = server.addr();
+    let body = "name = flood\npoints = 3\n";
+    let primed = job_id(&post(addr, "/jobs", "a", body));
+    assert_eq!(get(addr, &format!("/jobs/{primed}/result")).status, 200);
+    let total = usize::try_from(submit_cached(addr, body, 3, 10 * FINISHED_JOBS_KEPT)).unwrap();
+    assert_eq!(total, 10 * FINISHED_JOBS_KEPT + 1);
+
+    // Exactly the newest FINISHED_JOBS_KEPT ids are still held.
+    let kept: Vec<usize> = (1..=total)
+        .filter(|id| match get(addr, &format!("/jobs/{id}")).status {
+            200 => true,
+            410 => false,
+            other => panic!("job {id} answered {other}"),
+        })
+        .collect();
+    assert_eq!(
+        kept,
+        (total - FINISHED_JOBS_KEPT + 1..=total).collect::<Vec<_>>()
+    );
+    let metrics = get(addr, "/metrics").body;
+    assert!(
+        metrics.contains("\nsilo_serve_jobs_active 0\n"),
+        "{metrics}"
+    );
+    let (status, want) = status_jobs(addr, total, total, 0);
+    assert!(status.contains(&want), "{status}");
+
+    server.shutdown();
+    server.join();
+}
+
+#[test]
+fn failed_jobs_still_count_after_eviction() {
+    let (engine, _) = MockEngine::new(Gate::opened());
+    let server = start(engine, config("failedexpire")).expect("start");
+    let addr = server.addr();
+    let failed = job_id(&post(addr, "/jobs", "a", "name = explode\npoints = 2\n"));
+    assert_eq!(get(addr, &format!("/jobs/{failed}/result")).status, 500);
+    let body = "name = fine\npoints = 1\n";
+    let primed = job_id(&post(addr, "/jobs", "a", body));
+    assert_eq!(get(addr, &format!("/jobs/{primed}/result")).status, 200);
+    submit_cached(addr, body, 1, FINISHED_JOBS_KEPT);
+
+    assert_eq!(get(addr, &format!("/jobs/{failed}")).status, 410);
+    let total = FINISHED_JOBS_KEPT + 2;
+    let (status, want) = status_jobs(addr, total, total - 1, 1);
+    assert!(status.contains(&want), "{status}");
+
+    server.shutdown();
+    server.join();
+}
+
+#[test]
+fn active_jobs_are_never_evicted() {
+    // One permit: the priming job's point runs, the held job's waits.
+    let gate = Gate::with_permits(1);
+    let (engine, _) = MockEngine::new(Arc::clone(&gate));
+    let server = start(engine, config("activekept")).expect("start");
+    let addr = server.addr();
+    let body = "name = quick\npoints = 1\n";
+    let primed = job_id(&post(addr, "/jobs", "a", body));
+    assert_eq!(get(addr, &format!("/jobs/{primed}/result")).status, 200);
+    let held = job_id(&post(addr, "/jobs", "b", "name = held\npoints = 2\n"));
+    submit_cached(addr, body, 1, 2 * FINISHED_JOBS_KEPT);
+
+    assert_eq!(get(addr, &format!("/jobs/{primed}")).status, 410);
+    let job = get(addr, &format!("/jobs/{held}"));
+    assert!(job.body.contains("\"state\":\"active\""), "{}", job.body);
+    assert!(get(addr, "/metrics")
+        .body
+        .contains("\nsilo_serve_jobs_active 1\n"));
+    gate.release();
+    let result = get(addr, &format!("/jobs/{held}/result"));
+    assert_eq!(result.status, 200, "{}", result.body);
+    assert!(result.body.starts_with("held ["), "{}", result.body);
+
+    server.shutdown();
+    server.join();
+}
+
+#[test]
+fn a_point_queued_by_an_evicted_job_still_serves_its_other_subscribers() {
+    // One worker, so the queue order below is the run order.
+    let gate = Gate::closed();
+    let (engine, _) = MockEngine::new(Arc::clone(&gate));
+    let server = start(
+        engine,
+        ServeConfig {
+            workers: 1,
+            ..config("orphanpoint")
+        },
+    )
+    .expect("start");
+    let addr = server.addr();
+    let cached = "name = w\npoints = 1\n";
+    // The worker takes w's point and waits at the gate.
+    let w = job_id(&post(addr, "/jobs", "w", cached));
+    while !get(addr, "/metrics")
+        .body
+        .contains("\nsilo_serve_workers_busy 1\n")
+    {
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    // brittle:0 fails; f queues it ahead of everything else.
+    let f = job_id(&post(
+        addr,
+        "/jobs?priority=10",
+        "f",
+        "name = brittle\npoints = 1\n",
+    ));
+    // a subscribes to brittle:0 and queues brittle:1; b subscribes to
+    // brittle:1 only; x's point runs between brittle:0 and brittle:1.
+    let a = job_id(&post(addr, "/jobs", "a", "name = brittle\npoints = 2\n"));
+    let b = job_id(&post(
+        addr,
+        "/jobs",
+        "b",
+        "name = brittle\npoints = 1\noffset = 1\n",
+    ));
+    let x = job_id(&post(
+        addr,
+        "/jobs?priority=5",
+        "x",
+        "name = x\npoints = 1\n",
+    ));
+    // Two permits: w's point, then brittle:0, which fails f and a; x's
+    // point then waits at the gate.
+    *gate.permits.lock().unwrap() = 2;
+    gate.cv.notify_all();
+    assert_eq!(get(addr, &format!("/jobs/{w}/result")).status, 200);
+    assert_eq!(get(addr, &format!("/jobs/{a}/result")).status, 500);
+    // Evict f and a while brittle:1, queued by a, still waits.
+    submit_cached(addr, cached, 1, FINISHED_JOBS_KEPT);
+    assert_eq!(get(addr, &format!("/jobs/{f}")).status, 410);
+    assert_eq!(get(addr, &format!("/jobs/{a}")).status, 410);
+
+    gate.release();
+    assert_eq!(get(addr, &format!("/jobs/{x}/result")).status, 200);
+    let result = get(addr, &format!("/jobs/{b}/result"));
+    assert_eq!(result.status, 200, "{}", result.body);
+    assert_eq!(
+        result.body,
+        "brittle [{\"name\":\"brittle\",\"point\":1}]\n"
+    );
+
     server.shutdown();
     server.join();
 }
