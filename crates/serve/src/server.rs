@@ -1369,6 +1369,7 @@ fn missing_job(ctx: &ReqCtx<'_>, w: &mut impl Write, id: u64, issued: bool) -> i
     }
 }
 
+/// The error message for job `id` once it has been evicted.
 fn expired(id: u64) -> String {
     format!(
         "job {id} expired: only the newest {FINISHED_JOBS_KEPT} finished jobs are kept; \
@@ -1427,7 +1428,7 @@ fn handle_result<E: JobEngine>(
 }
 
 /// Blocks until `slot`, one of job `id`'s points, is set. Fails when the
-/// job fails, or on shutdown.
+/// job fails (evicted or not), or on shutdown.
 fn await_point<'a, E: JobEngine>(
     shared: &Shared<E>,
     id: u64,
