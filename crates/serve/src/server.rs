@@ -298,7 +298,9 @@ struct State<J> {
 }
 
 impl<J> State<J> {
-    /// Whether `id` was handed out by a submission.
+    /// Whether `id` was handed out by a submission. Such an id is missing
+    /// from `jobs` once evicted, and also while its journal entry is
+    /// written or after that write failed.
     fn issued(&self, id: u64) -> bool {
         (1..self.next_job).contains(&id)
     }

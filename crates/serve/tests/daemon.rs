@@ -617,13 +617,13 @@ fn submit_cached(addr: SocketAddr, body: &str, points: usize, n: usize) -> u64 {
     last
 }
 
-/// The `"jobs":{...}` object `/status` reports.
-fn status_jobs(addr: SocketAddr, total: usize, done: usize, failed: usize) -> (String, String) {
+/// Asserts `/status` reports no active job and these totals.
+fn assert_job_counts(addr: SocketAddr, total: usize, done: usize, failed: usize) {
     let body = get(addr, "/status").body;
     let want = format!(
         "\"jobs\":{{\"total\":{total},\"active\":0,\"queued\":0,\"done\":{done},\"failed\":{failed}}}"
     );
-    (body, want)
+    assert!(body.contains(&want), "{body}");
 }
 
 #[test]
@@ -661,8 +661,7 @@ fn finished_jobs_beyond_the_bound_expire_with_410() {
     // Ids never issued stay 404.
     assert_eq!(get(addr, &format!("/jobs/{}", last + 1)).status, 404);
     assert_eq!(get(addr, "/jobs/0").status, 404);
-    let (status, want) = status_jobs(addr, submitted, submitted, 0);
-    assert!(status.contains(&want), "{status}");
+    assert_job_counts(addr, submitted, submitted, 0);
 
     server.shutdown();
     server.join();
@@ -696,8 +695,7 @@ fn cached_floods_keep_at_most_the_bound_of_finished_jobs() {
         metrics.contains("\nsilo_serve_jobs_active 0\n"),
         "{metrics}"
     );
-    let (status, want) = status_jobs(addr, total, total, 0);
-    assert!(status.contains(&want), "{status}");
+    assert_job_counts(addr, total, total, 0);
 
     server.shutdown();
     server.join();
@@ -717,8 +715,7 @@ fn failed_jobs_still_count_after_eviction() {
 
     assert_eq!(get(addr, &format!("/jobs/{failed}")).status, 410);
     let total = FINISHED_JOBS_KEPT + 2;
-    let (status, want) = status_jobs(addr, total, total - 1, 1);
-    assert!(status.contains(&want), "{status}");
+    assert_job_counts(addr, total, total - 1, 1);
 
     server.shutdown();
     server.join();
@@ -816,6 +813,44 @@ fn a_point_queued_by_an_evicted_job_still_serves_its_other_subscribers() {
         result.body,
         "brittle [{\"name\":\"brittle\",\"point\":1}]\n"
     );
+
+    server.shutdown();
+    server.join();
+}
+
+#[test]
+fn a_failed_journal_write_releases_the_quota_and_the_queue_slots() {
+    let (engine, _) = MockEngine::new(Gate::opened());
+    let cfg = ServeConfig {
+        // No workers: accepted points stay queued.
+        workers: 0,
+        client_quota: 1,
+        queue_capacity: 2,
+        ..config("journalfail")
+    };
+    let queue = cfg.cache_dir.join("queue");
+    let server = start(engine, cfg).expect("start");
+    let addr = server.addr();
+    let body = "name = j\npoints = 2\n";
+
+    // A file where the journal directory should be fails the write.
+    std::fs::remove_dir_all(&queue).expect("remove queue dir");
+    std::fs::write(&queue, "").expect("block the queue dir");
+    let refused = post(addr, "/jobs", "c", body);
+    assert_eq!(refused.status, 500, "{}", refused.body);
+    assert!(
+        refused.body.contains("journal write failed"),
+        "{}",
+        refused.body
+    );
+
+    // The quota slot and both queue slots came back.
+    std::fs::remove_file(&queue).expect("unblock");
+    std::fs::create_dir_all(&queue).expect("queue dir");
+    let id = job_id(&post(addr, "/jobs", "c", body));
+    assert!(queue.join(format!("{id}.job")).exists(), "journalled");
+    assert_eq!(post(addr, "/jobs", "d", "name = k\n").status, 503);
+    assert_eq!(post(addr, "/jobs", "c", "name = k\n").status, 429);
 
     server.shutdown();
     server.join();
