@@ -31,10 +31,18 @@ use crate::step::{AccessResult, Background, ServedBy, Step};
 use silo_types::hash::FxHashMap;
 use silo_types::{ByteSize, LineAddr, MemRef};
 
-/// Vaults of at most this many lines keep every row allocated up front
-/// (zeroed, so untouched rows cost no resident memory). 64 Ki lines is
-/// a scale-64 Table I vault; larger vaults (`--scale 1`: millions of
-/// sets, almost all untouched) allocate a row on its first fill.
+/// Vaults of at most this many lines (64 Ki: a scale-64 Table I vault)
+/// find a set's row through a flat `u32` per set (256 KiB) and reserve
+/// room for every row up front; larger vaults (`--scale 1`: millions of
+/// sets, almost all untouched) find it through a hash map of the sets
+/// filled so far, and grow the store as they go. Either way a row is
+/// appended on its set's first fill, so only the rows of sets a run
+/// touches are ever written. A `sets × N` store allocated zeroed was
+/// cleared in full whenever the allocator served it from its heap, and
+/// a store grown row by row faulted its pages in anew for each engine;
+/// reserved capacity is written only as rows are appended, so when the
+/// allocator hands one engine's freed block to the next, its resident
+/// pages are reused as they are.
 const DENSE_MAX_LINES: u64 = 1 << 16;
 
 /// Configuration of the SILO private hierarchy.
@@ -73,7 +81,7 @@ impl Default for PrivateMoesiConfig {
 /// Every core's direct-mapped vault, transposed into rows: slot
 /// `row + c` is core `c`'s way of the set the row stands for. A slot
 /// whose state is I (0) is empty; its tag is stale and never read as a
-/// line.
+/// line. Rows are appended in first-fill order, and `map` finds a set's.
 #[derive(Clone, Debug)]
 struct Rows {
     /// Slots per row: the core count.
@@ -83,48 +91,65 @@ struct Rows {
     tags: Vec<u64>,
     /// `State::to_bits` per slot.
     states: Vec<u8>,
-    /// Large vaults only: set -> offset of its row, allocated on first
-    /// use. `None` when every row is allocated and set `s` sits at
-    /// `s * n`.
-    sparse: Option<FxHashMap<u64, usize>>,
+    map: RowMap,
+}
+
+/// Set -> offset of its row + 1, 0 for a set never filled. An offset,
+/// not a row number, keeps a multiply off the lookup.
+#[derive(Clone, Debug)]
+enum RowMap {
+    /// One entry per set (vaults of at most [`DENSE_MAX_LINES`] lines).
+    Dense(Vec<u32>),
+    /// Only the sets filled so far (larger vaults).
+    Sparse(FxHashMap<u64, u32>),
 }
 
 impl Rows {
-    fn new(n: usize, sets: u64) -> Self {
-        let dense = sets <= DENSE_MAX_LINES;
+    /// An empty store for `n` cores over `sets` sets, finding rows
+    /// through a per-set table (with room reserved for every row) when
+    /// `dense`, a hash map otherwise.
+    fn new(n: usize, sets: u64, dense: bool) -> Self {
         let slots = if dense { sets as usize * n } else { 0 };
         Rows {
             n,
             set_mask: sets - 1,
-            tags: vec![0; slots],
-            states: vec![0; slots],
-            sparse: (!dense).then(FxHashMap::default),
+            tags: Vec::with_capacity(slots),
+            states: Vec::with_capacity(slots),
+            map: if dense {
+                RowMap::Dense(vec![0; sets as usize])
+            } else {
+                RowMap::Sparse(FxHashMap::default())
+            },
         }
     }
 
-    /// Offset of the row holding `line`'s set, if it exists.
+    /// Offset of the row holding `line`'s set, if that set was filled.
     #[inline]
     fn row(&self, line: LineAddr) -> Option<usize> {
         let set = line.as_u64() & self.set_mask;
-        match &self.sparse {
-            None => Some(set as usize * self.n),
-            Some(rows) => rows.get(&set).copied(),
-        }
+        let id = match &self.map {
+            RowMap::Dense(ids) => ids[set as usize],
+            RowMap::Sparse(ids) => ids.get(&set).copied().unwrap_or(0),
+        };
+        (id != 0).then(|| (id - 1) as usize)
     }
 
-    /// Offset of the row holding `line`'s set, allocating it (all slots
-    /// empty) in a large vault.
+    /// Offset of the row holding `line`'s set, appending it (all slots
+    /// empty) on the set's first fill.
+    #[inline]
     fn row_or_insert(&mut self, line: LineAddr) -> usize {
         let set = line.as_u64() & self.set_mask;
-        let (n, tags, states) = (self.n, &mut self.tags, &mut self.states);
-        match &mut self.sparse {
-            None => set as usize * n,
-            Some(rows) => *rows.entry(set).or_insert_with(|| {
-                tags.resize(tags.len() + n, 0);
-                states.resize(states.len() + n, 0);
-                tags.len() - n
-            }),
+        let id = match &mut self.map {
+            RowMap::Dense(ids) => &mut ids[set as usize],
+            RowMap::Sparse(ids) => ids.entry(set).or_insert(0),
+        };
+        if *id == 0 {
+            let row = self.tags.len();
+            *id = u32::try_from(row + 1).expect("store of fewer than 2^32 slots");
+            self.tags.resize(row + self.n, 0);
+            self.states.resize(row + self.n, 0);
         }
+        (*id - 1) as usize
     }
 
     /// State of `line` in slot `slot` (I unless the slot holds it).
@@ -186,11 +211,12 @@ impl PrivateMoesi {
         );
         // Direct-mapped: one line per set, floored to a power of two.
         let lines = cfg.vault_capacity.scaled_down(cfg.scale).lines().max(1);
+        let sets = 1 << (63 - lines.leading_zeros());
         PrivateMoesi {
             nodes: (0..n_cores)
                 .map(|_| Node::new(&cfg.node_spec, cfg.scale))
                 .collect(),
-            rows: Rows::new(n_cores, 1 << (63 - lines.leading_zeros())),
+            rows: Rows::new(n_cores, sets, sets <= DENSE_MAX_LINES),
             ideal_miss_predict: cfg.ideal_miss_predict,
             o_state_forwarding: cfg.o_state_forwarding,
             stats: CoherenceStats::default(),
@@ -223,11 +249,11 @@ impl PrivateMoesi {
     /// Host-cache prefetch hint for an upcoming access by `core` to
     /// `line`: warms the local vault slot's tag and state, the hottest
     /// and largest arrays on the access path. Changes no simulated
-    /// state. Large vaults have no row address before a hash probe, so
-    /// there the hint does nothing.
+    /// state, and fills no row. Large vaults have no row address before
+    /// a hash probe, so there the hint does nothing.
     #[inline]
     pub fn prefetch_hint(&self, core: usize, line: LineAddr) {
-        if self.rows.sparse.is_none() {
+        if let RowMap::Dense(_) = self.rows.map {
             if let Some(row) = self.rows.row(line) {
                 silo_cache::prefetch(&self.rows.tags[row + core]);
                 silo_cache::prefetch(&self.rows.states[row + core]);
@@ -737,6 +763,86 @@ mod tests {
         p.reset_stats();
         assert_eq!(p.stats(), crate::CoherenceStats::default());
         p.check().unwrap();
+    }
+
+    /// A 4-core engine whose 8 MiB scale-1 vaults (128 Ki sets) find
+    /// their rows through the sparse map.
+    fn large() -> PrivateMoesi {
+        PrivateMoesi::new(
+            4,
+            &PrivateMoesiConfig {
+                vault_capacity: ByteSize::from_mib(8),
+                scale: 1,
+                ..PrivateMoesiConfig::default()
+            },
+        )
+    }
+
+    #[test]
+    fn a_fresh_engine_holds_no_rows() {
+        for p in [
+            small(),
+            large(),
+            PrivateMoesi::new(16, &PrivateMoesiConfig::default()),
+        ] {
+            assert!(p.rows.tags.is_empty() && p.rows.states.is_empty());
+        }
+        assert!(matches!(small().rows.map, RowMap::Dense(_)));
+        assert!(matches!(large().rows.map, RowMap::Sparse(_)));
+    }
+
+    #[test]
+    fn each_filled_set_allocates_one_row() {
+        for mut p in [small(), large()] {
+            let sets = p.rows.set_mask + 1;
+            // Five sets, each filled from several cores, re-read, and
+            // hit by a conflicting line: one row apiece.
+            for (k, set) in [3u64, 900, 17, 1023, 511].into_iter().enumerate() {
+                for core in 0..4 {
+                    p.access(core, MemRef::read(LineAddr::new(set)));
+                }
+                p.access(1, MemRef::write(LineAddr::new(set + sets)));
+                assert_eq!(p.rows.tags.len(), (k + 1) * 4);
+                assert_eq!(p.rows.states.len(), (k + 1) * 4);
+            }
+            p.check().unwrap();
+        }
+    }
+
+    #[test]
+    fn reads_of_never_filled_sets_allocate_nothing() {
+        for mut p in [small(), large()] {
+            p.access(0, MemRef::write(LineAddr::new(5)));
+            for line in [6u64, 1 << 20, 77, 5 + (1 << 30)].map(LineAddr::new) {
+                for core in 0..4 {
+                    assert_eq!(p.vault_state(core, line), State::I);
+                    p.prefetch_hint(core, line);
+                }
+            }
+            p.check().unwrap();
+            assert_eq!(p.rows.tags.len(), 4, "only line 5's set has a row");
+            assert_eq!(p.rows.states.len(), 4);
+        }
+    }
+
+    #[test]
+    fn dense_and_sparse_maps_give_the_same_rows() {
+        const OPS: usize = if cfg!(miri) { 300 } else { 20_000 };
+        let (mut dense, mut sparse) = (Rows::new(3, 256, true), Rows::new(3, 256, false));
+        let mut rng = 0x9e37_79b9_7f4a_7c15_u64;
+        for _ in 0..OPS {
+            rng = rng
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let line = LineAddr::new((rng >> 20) % 4096);
+            if rng >> 62 == 0 {
+                assert_eq!(dense.row_or_insert(line), sparse.row_or_insert(line));
+            } else {
+                assert_eq!(dense.row(line), sparse.row(line), "{line}");
+            }
+            assert_eq!(dense.tags.len(), sparse.tags.len());
+        }
+        assert_eq!(dense.tags.len(), 256 * 3, "every set filled by the end");
     }
 
     #[test]

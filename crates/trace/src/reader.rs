@@ -1,10 +1,12 @@
 //! Streaming `.silotrace` reader, header inspection, and full-file
 //! validation.
 
-use crate::wire::{at_eof, read_array, read_u32, read_u64, read_varint, unzigzag, HashingReader};
+use crate::wire::{
+    at_eof, decode_varint, read_array, read_u32, read_u64, read_varint, unzigzag, HashingReader,
+};
 use crate::writer::{kind_bits, kind_from_bits};
 use crate::{TraceError, TraceHeader, TraceSource, END_TAG, MAGIC, MAX_STRING_LEN, VERSION};
-use silo_types::{LineAddr, MemRef};
+use silo_types::{AccessKind, LineAddr, MemRef};
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Read};
 use std::path::Path;
@@ -105,20 +107,10 @@ pub fn verify_stream<R: BufRead>(inner: R) -> Result<TraceSummary, TraceError> {
     let mut per_core = vec![0u64; header.cores];
     let mut kinds = [0u64; 3];
     let mut dependent = 0u64;
-    loop {
-        let tag = read_varint(&mut r)?;
-        if tag == END_TAG {
-            break;
-        }
-        let (core, kind) = split_tag(tag, header.cores)?;
-        let gap = read_varint(&mut r)?;
-        if gap > u32::MAX as u64 {
-            return Err(TraceError::Corrupt(format!("gap {gap} overflows u32")));
-        }
-        read_varint(&mut r)?; // line delta: any 64-bit value is valid
-        per_core[core] += 1;
-        kinds[kind_bits(kind) as usize] += 1;
-        dependent += tag & 1;
+    while let Some(rec) = next_record(&mut r, header.cores)? {
+        per_core[rec.core] += 1;
+        kinds[kind_bits(rec.kind) as usize] += 1;
+        dependent += u64::from(rec.dependent);
     }
     let count = read_u64(&mut r)?;
     let records: u64 = per_core.iter().sum();
@@ -149,7 +141,7 @@ pub fn verify_stream<R: BufRead>(inner: R) -> Result<TraceSummary, TraceError> {
     })
 }
 
-fn split_tag(tag: u64, cores: usize) -> Result<(usize, silo_types::AccessKind), TraceError> {
+fn split_tag(tag: u64, cores: usize) -> Result<(usize, AccessKind), TraceError> {
     let kind = kind_from_bits((tag >> 1) & 0b11)
         .ok_or_else(|| TraceError::Corrupt(format!("reserved kind in record tag {tag:#x}")))?;
     let core = (tag >> 3) as usize;
@@ -159,6 +151,67 @@ fn split_tag(tag: u64, cores: usize) -> Result<(usize, silo_types::AccessKind), 
         )));
     }
     Ok((core, kind))
+}
+
+/// One record as stored: its line is still a delta from the core's
+/// previous record.
+struct Record {
+    core: usize,
+    kind: AccessKind,
+    gap: u32,
+    delta: u64,
+    dependent: bool,
+}
+
+/// Decodes one record from successive varints, `Ok(None)` at the
+/// sentinel. Each field is checked as soon as it is read, so every
+/// varint source reports a stream's first fault.
+#[inline]
+fn parse_record<E: From<TraceError>>(
+    cores: usize,
+    mut varint: impl FnMut() -> Result<u64, E>,
+) -> Result<Option<Record>, E> {
+    let tag = varint()?;
+    if tag == END_TAG {
+        return Ok(None);
+    }
+    let (core, kind) = split_tag(tag, cores)?;
+    let gap = varint()?;
+    let gap =
+        u32::try_from(gap).map_err(|_| TraceError::Corrupt(format!("gap {gap} overflows u32")))?;
+    let delta = varint()?; // any 64-bit value is valid
+    Ok(Some(Record {
+        core,
+        kind,
+        gap,
+        delta,
+        dependent: tag & 1 == 1,
+    }))
+}
+
+/// Reads the next record from `r`, `Ok(None)` at the sentinel. A record
+/// wholly inside the read buffer is decoded there and consumed in one
+/// step; one that runs past the buffer's end (or a fault that needs
+/// bytes beyond it to be told apart from truncation) is read a byte at
+/// a time.
+#[inline]
+fn next_record<R: BufRead>(r: &mut R, cores: usize) -> Result<Option<Record>, TraceError> {
+    let buf = r.fill_buf()?;
+    let mut used = 0;
+    // `Err(None)`: the buffer ended first.
+    let decoded = parse_record(cores, || {
+        let (v, n) = decode_varint(&buf[used..])?.ok_or(None)?;
+        used += n;
+        Ok(v)
+    });
+    match decoded {
+        Ok(rec) => {
+            r.consume(used);
+            Ok(rec)
+        }
+        Err(Some(e)) => Err(e),
+        Err(None) => parse_record(cores, || read_varint(r)),
+    }
 }
 
 /// A streaming [`TraceSource`] over a `.silotrace` byte stream.
@@ -237,26 +290,19 @@ impl<R: BufRead> TraceReader<R> {
         if self.finished {
             return Ok(None);
         }
-        let tag = read_varint(&mut self.input)?;
-        if tag == END_TAG {
+        let Some(rec) = next_record(&mut self.input, self.header.cores)? else {
             self.finished = true;
             return Ok(None);
-        }
-        let (core, kind) = split_tag(tag, self.header.cores)?;
-        let gap = read_varint(&mut self.input)?;
-        if gap > u32::MAX as u64 {
-            return Err(TraceError::Corrupt(format!("gap {gap} overflows u32")));
-        }
-        let delta = unzigzag(read_varint(&mut self.input)?);
-        let line = self.last_line[core].wrapping_add(delta as u64);
-        self.last_line[core] = line;
+        };
+        let line = self.last_line[rec.core].wrapping_add(unzigzag(rec.delta) as u64);
+        self.last_line[rec.core] = line;
         Ok(Some((
-            core,
+            rec.core,
             MemRef {
                 line: LineAddr::new(line),
-                kind,
-                gap_instructions: gap as u32,
-                dependent: tag & 1 == 1,
+                kind: rec.kind,
+                gap_instructions: rec.gap,
+                dependent: rec.dependent,
             },
         )))
     }
@@ -482,6 +528,80 @@ mod tests {
         let mut w = TraceWriter::new(Vec::new(), &header).expect("writer");
         w.write(0, MemRef::read(LineAddr::new(5))).expect("write");
         drop(w);
+    }
+
+    /// Every record decoded from `bytes` through a `cap`-byte read
+    /// buffer, strictly (the first fault is the error).
+    fn decode_all(bytes: &[u8], cap: usize) -> Result<Vec<(usize, MemRef)>, TraceError> {
+        let input = BufReader::with_capacity(cap, Cursor::new(bytes.to_vec()));
+        let mut r = TraceReader::new(input)?;
+        std::iter::from_fn(|| r.read_record().transpose()).collect()
+    }
+
+    #[test]
+    fn records_straddling_the_read_buffer_decode_like_whole_ones() {
+        let bytes = encode(&sample_header(3), &sample_traces(3, 50));
+        let whole = decode_all(&bytes, bytes.len()).expect("valid");
+        let summary = verify_stream(Cursor::new(bytes.clone())).expect("valid");
+        assert_eq!(whole.len(), 150);
+        for cap in [1, 2, 3, 7, 29, 30, 31, 64] {
+            assert_eq!(decode_all(&bytes, cap).expect("valid"), whole, "cap {cap}");
+            let input = BufReader::with_capacity(cap, Cursor::new(bytes.clone()));
+            assert_eq!(verify_stream(input).as_ref(), Ok(&summary), "cap {cap}");
+        }
+        // Every single-byte corruption and truncation fails alike at
+        // every buffer size, from the buffer or a byte at a time (every
+        // 37th byte under Miri).
+        for at in (0..bytes.len()).step_by(if cfg!(miri) { 37 } else { 1 }) {
+            let mut flipped = bytes.clone();
+            flipped[at] ^= 0x5a;
+            for bad in [flipped, bytes[..at].to_vec()] {
+                let want = (decode_all(&bad, 1), verify_stream(Cursor::new(bad.clone())));
+                for cap in [2, 7, 30, 4096] {
+                    let input = BufReader::with_capacity(cap, Cursor::new(bad.clone()));
+                    assert_eq!((decode_all(&bad, cap), verify_stream(input)), want);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn malformed_records_fail_with_their_own_error() {
+        let header = encode(&sample_header(2), &[]);
+        let header = &header[..header.len() - 17]; // sentinel + footer
+        let cases: [(&[u8], &str); 5] = [
+            (&[0x80; 11], "varint overflows 64 bits"),
+            (&[1 << 3 | 3 << 1], "reserved kind"),
+            (&[2 << 3], "record for core 2 in a 2-core trace"),
+            (&[0, 0x80, 0x80, 0x80, 0x80, 0x10], "overflows u32"),
+            (&[0, 1], "unexpected end of file"),
+        ];
+        for (record, want) in cases {
+            let mut bytes = [header, record].concat();
+            // Padding puts the faulty record wholly inside the buffer
+            // (the truncated one stays at the end of the stream).
+            let paddings: &[usize] = if want.contains("end of file") {
+                &[0]
+            } else {
+                &[0, 40]
+            };
+            for &padding in paddings {
+                bytes.resize(bytes.len() + padding, 0x80);
+                for cap in [1, 30, 4096] {
+                    let input = BufReader::with_capacity(cap, Cursor::new(bytes.clone()));
+                    let got = [
+                        decode_all(&bytes, cap).map(|_| ()),
+                        verify_stream(input).map(|_| ()),
+                    ];
+                    for err in got {
+                        assert!(
+                            matches!(&err, Err(TraceError::Corrupt(m)) if m.contains(want)),
+                            "{record:?} + {padding} bytes, cap {cap}: {err:?}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

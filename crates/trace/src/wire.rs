@@ -52,8 +52,9 @@ pub(crate) fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
-/// A reader wrapper that hashes every byte it yields, so validation
-/// passes compute the checksum while streaming.
+/// A reader wrapper that hashes every byte it yields, through `read` or
+/// through `consume` after `fill_buf`, so validation passes compute the
+/// checksum while streaming.
 pub(crate) struct HashingReader<R> {
     inner: R,
     hash: Fnv,
@@ -86,6 +87,21 @@ impl<R: Read> Read for HashingReader<R> {
     }
 }
 
+impl<R: BufRead> BufRead for HashingReader<R> {
+    fn fill_buf(&mut self) -> std::io::Result<&[u8]> {
+        self.inner.fill_buf()
+    }
+
+    fn consume(&mut self, amt: usize) {
+        // `fill_buf` again returns, without reading, the buffer the
+        // caller consumes from; its front `amt` bytes are the consumed.
+        if let Ok(buf) = self.inner.fill_buf() {
+            self.hash.update(&buf[..amt.min(buf.len())]);
+        }
+        self.inner.consume(amt);
+    }
+}
+
 /// Reads exactly `N` bytes.
 pub(crate) fn read_array<R: Read, const N: usize>(r: &mut R) -> Result<[u8; N], TraceError> {
     let mut buf = [0u8; N];
@@ -103,22 +119,36 @@ pub(crate) fn read_u64<R: Read>(r: &mut R) -> Result<u64, TraceError> {
     Ok(u64::from_le_bytes(read_array(r)?))
 }
 
-/// Reads one LEB128 varint.
+/// Reads one LEB128 varint a byte at a time, for stream ends and
+/// buffer edges: [`decode_varint`] decides within 11 bytes.
 pub(crate) fn read_varint<R: Read>(r: &mut R) -> Result<u64, TraceError> {
+    let mut buf = [0u8; 11];
+    for len in 1..=buf.len() {
+        buf[len - 1] = read_array::<_, 1>(r)?[0];
+        if let Some((v, _)) = decode_varint(&buf[..len])? {
+            return Ok(v);
+        }
+    }
+    unreachable!("an 11-byte varint always overflows")
+}
+
+/// Decodes one LEB128 varint from the front of `buf`: its value and
+/// length, or `Ok(None)` when `buf` ends before the varint (or its
+/// overflow) does.
+#[inline]
+pub(crate) fn decode_varint(buf: &[u8]) -> Result<Option<(u64, usize)>, TraceError> {
     let mut v = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let byte = read_array::<_, 1>(r)?[0];
-        let payload = (byte & 0x7f) as u64;
+    for (i, &byte) in buf.iter().enumerate() {
+        let (shift, payload) = (7 * i as u32, (byte & 0x7f) as u64);
         if shift >= 64 || (shift == 63 && payload > 1) {
             return Err(TraceError::Corrupt("varint overflows 64 bits".into()));
         }
         v |= payload << shift;
         if byte & 0x80 == 0 {
-            return Ok(v);
+            return Ok(Some((v, i + 1)));
         }
-        shift += 7;
     }
+    Ok(None)
 }
 
 /// True when the stream has no more bytes (used to reject trailing
@@ -149,6 +179,8 @@ mod tests {
             let mut buf = Vec::new();
             put_varint(&mut buf, v);
             assert!(buf.len() <= 10);
+            assert_eq!(decode_varint(&buf), Ok(Some((v, buf.len()))));
+            assert_eq!(decode_varint(&buf[..buf.len() - 1]), Ok(None));
             let mut cur = Cursor::new(buf);
             assert_eq!(read_varint(&mut cur).expect("decodes"), v);
         }
@@ -156,14 +188,17 @@ mod tests {
 
     #[test]
     fn overlong_varints_are_rejected() {
+        let overflow = Err(TraceError::Corrupt("varint overflows 64 bits".into()));
         // Eleven continuation bytes cannot fit in 64 bits.
-        let mut cur = Cursor::new(vec![0x80u8; 11]);
-        assert!(matches!(read_varint(&mut cur), Err(TraceError::Corrupt(_))));
+        assert_eq!(read_varint(&mut Cursor::new(vec![0x80u8; 11])), overflow);
+        assert_eq!(decode_varint(&[0x80; 11]).map(|_| 0), overflow);
+        // Ten continuation bytes decide nothing until the eleventh.
+        assert_eq!(decode_varint(&[0x80; 10]), Ok(None));
         // Ten bytes whose top payload exceeds the final two bits.
         let mut bytes = vec![0xffu8; 9];
         bytes.push(0x7f);
-        let mut cur = Cursor::new(bytes);
-        assert!(matches!(read_varint(&mut cur), Err(TraceError::Corrupt(_))));
+        assert_eq!(decode_varint(&bytes).map(|_| 0), overflow);
+        assert_eq!(read_varint(&mut Cursor::new(bytes)), overflow);
     }
 
     #[test]
@@ -199,6 +234,17 @@ mod tests {
         hr.read_to_end(&mut out).expect("reads");
         let mut direct = Fnv::new();
         direct.update(&data);
+        assert_eq!(hr.digest(), direct.digest());
+
+        // Consumed buffer slices and reads mix, through a 3-byte buffer.
+        let inner = std::io::BufReader::with_capacity(3, Cursor::new(data.clone()));
+        let mut hr = HashingReader::new(inner);
+        assert_eq!(hr.fill_buf().expect("fills"), b"012");
+        hr.consume(2);
+        assert_eq!(read_array::<_, 4>(&mut hr).expect("reads"), *b"2345");
+        hr.fill_buf().expect("fills");
+        hr.consume(1);
+        hr.read_to_end(&mut out).expect("reads");
         assert_eq!(hr.digest(), direct.digest());
     }
 }
