@@ -11,7 +11,7 @@
 
 #![forbid(unsafe_code)]
 
-use silo_types::{Cycles, LineAddr};
+use silo_types::Cycles;
 
 /// A node coordinate in the mesh.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -33,10 +33,15 @@ impl std::fmt::Display for NodeId {
 /// A `width x height` 2D mesh with XY routing.
 ///
 /// The XY route of every ordered node pair is computed once, in
-/// [`Mesh::new`], so a send walks a precomputed list of link indices
-/// instead of re-deriving coordinates. The table holds `nodes^2` routes of
-/// at most `width + height - 2` links each; the simulator's meshes have at
-/// most 64 nodes.
+/// [`Mesh::new`]. A send only counts one message for its ordered pair
+/// and returns the pair's precomputed latency, so it costs the same at
+/// any distance. The traffic figures ([`messages`](Mesh::messages),
+/// [`total_hops`](Mesh::total_hops), [`link_flits`](Mesh::link_flits)
+/// and the link maxima) are derived from the pair counts and the route
+/// table when read: every message of a pair crosses the same links, so
+/// the sums are exact. The table holds `nodes^2` routes of at most
+/// `width + height - 2` links each; the simulator's meshes have at most
+/// 64 nodes.
 #[derive(Clone, Debug)]
 pub struct Mesh {
     width: usize,
@@ -46,13 +51,20 @@ pub struct Mesh {
     /// the slice of `route_links` the XY route from `a` to `b` crosses, so
     /// its length is the pair's hop count.
     route_start: Vec<u32>,
-    /// Link indices of every route, back to back.
-    route_links: Vec<u32>,
-    /// Traffic counter per directed link. Links are indexed as
+    /// Link indices of every route, back to back. Links are indexed as
     /// `node * 4 + direction` (0=E, 1=W, 2=N, 3=S).
-    link_flits: Vec<u64>,
+    route_links: Vec<u32>,
+    /// Per ordered pair `a * nodes + b`: messages sent and the one-way
+    /// latency.
+    pairs: Vec<Pair>,
+}
+
+/// One ordered node pair's traffic counter and latency, side by side so
+/// a send touches one slot.
+#[derive(Clone, Copy, Debug)]
+struct Pair {
     messages: u64,
-    total_hops: u64,
+    latency: Cycles,
 }
 
 /// Direction encoding for link indexing.
@@ -72,11 +84,17 @@ impl Mesh {
         let nodes = width * height;
         let mut route_start = Vec::with_capacity(nodes * nodes + 1);
         let mut route_links = Vec::new();
+        let mut pairs = Vec::with_capacity(nodes * nodes);
         route_start.push(0);
         for a in 0..nodes {
             for b in 0..nodes {
+                let before = route_links.len();
                 xy_route(width, a, b, &mut route_links);
                 route_start.push(u32::try_from(route_links.len()).expect("route table fits u32"));
+                pairs.push(Pair {
+                    messages: 0,
+                    latency: hop_cycles * (route_links.len() - before) as u64,
+                });
             }
         }
         Mesh {
@@ -85,9 +103,7 @@ impl Mesh {
             hop_cycles,
             route_start,
             route_links,
-            link_flits: vec![0; width * height * 4],
-            messages: 0,
-            total_hops: 0,
+            pairs,
         }
     }
 
@@ -126,24 +142,28 @@ impl Mesh {
         (node.0 % self.width, node.0 / self.width)
     }
 
-    /// The `route_links` range of the XY route from `a` to `b`.
+    /// The index of the ordered pair `(a, b)` in `pairs`.
     ///
     /// # Panics
     ///
     /// Panics if either node is out of range.
     #[inline]
-    fn route(&self, a: NodeId, b: NodeId) -> std::ops::Range<usize> {
+    fn pair(&self, a: NodeId, b: NodeId) -> usize {
         let n = self.nodes();
         for node in [a, b] {
             assert!(node.0 < n, "node {node} out of range");
         }
-        let pair = a.0 * n + b.0;
+        a.0 * n + b.0
+    }
+
+    /// The `route_links` range of the XY route of pair `pair`.
+    fn route(&self, pair: usize) -> std::ops::Range<usize> {
         self.route_start[pair] as usize..self.route_start[pair + 1] as usize
     }
 
     /// Manhattan hop count between two nodes.
     pub fn hops(&self, a: NodeId, b: NodeId) -> u64 {
-        self.route(a, b).len() as u64
+        self.route(self.pair(a, b)).len() as u64
     }
 
     /// One-way latency between two nodes (zero when `a == b`).
@@ -170,63 +190,61 @@ impl Mesh {
         total as f64 / (n * n) as f64
     }
 
-    /// Home node for a line under address interleaving (scrambled so
-    /// contiguous regions spread across nodes).
-    pub fn home_of(&self, line: LineAddr) -> NodeId {
-        NodeId(line.interleave(self.nodes()))
-    }
-
-    /// Sends a message from `a` to `b`, recording traffic on every XY
-    /// link traversed, and returns the one-way latency.
+    /// Sends a message from `a` to `b`, counting it against the pair's
+    /// XY route, and returns the one-way latency.
+    #[inline]
     pub fn send(&mut self, a: NodeId, b: NodeId) -> Cycles {
-        let route = self.route(a, b);
-        let hops = route.len() as u64;
-        for &link in &self.route_links[route] {
-            self.link_flits[link as usize] += 1;
-        }
-        self.messages += 1;
-        self.total_hops += hops;
-        self.hop_cycles * hops
+        let pair = self.pair(a, b);
+        let p = &mut self.pairs[pair];
+        p.messages += 1;
+        p.latency
     }
 
     /// Messages sent through [`send`](Self::send).
     pub fn messages(&self) -> u64 {
-        self.messages
+        self.pairs.iter().map(|p| p.messages).sum()
     }
 
     /// Total hops traversed by all messages.
     pub fn total_hops(&self) -> u64 {
-        self.total_hops
+        self.pairs
+            .iter()
+            .enumerate()
+            .map(|(pair, p)| p.messages * self.route(pair).len() as u64)
+            .sum()
     }
 
     /// Cumulative flit counters of every directed link, indexed as
-    /// `node * 4 + direction` (0=E, 1=W, 2=N, 3=S). Exposed so the
-    /// telemetry subsystem can difference consecutive snapshots into
-    /// per-epoch link utilization.
-    pub fn link_flits(&self) -> &[u64] {
-        &self.link_flits
+    /// `node * 4 + direction` (0=E, 1=W, 2=N, 3=S), summed from the pair
+    /// counts over their routes on each call. Exposed so the telemetry
+    /// subsystem can difference consecutive snapshots into per-epoch
+    /// link utilization.
+    pub fn link_flits(&self) -> Vec<u64> {
+        let mut flits = vec![0; self.nodes() * 4];
+        for (pair, p) in self.pairs.iter().enumerate() {
+            if p.messages > 0 {
+                for &link in &self.route_links[self.route(pair)] {
+                    flits[link as usize] += p.messages;
+                }
+            }
+        }
+        flits
     }
 
     /// Flits carried by the busiest link.
     pub fn max_link_flits(&self) -> u64 {
-        self.link_flits.iter().copied().max().unwrap_or(0)
+        self.link_flits().into_iter().max().unwrap_or(0)
     }
 
     /// Mean flits per link over links that carried any traffic.
     pub fn mean_link_flits(&self) -> f64 {
-        let used: Vec<u64> = self.link_flits.iter().copied().filter(|&f| f > 0).collect();
-        if used.is_empty() {
+        let flits = self.link_flits();
+        let used = flits.iter().filter(|&&f| f > 0).count();
+        if used == 0 {
             0.0
         } else {
-            used.iter().sum::<u64>() as f64 / used.len() as f64
+            flits.iter().sum::<u64>() as f64 / used as f64
         }
-    }
-
-    /// Clears traffic statistics.
-    pub fn reset_stats(&mut self) {
-        self.link_flits.iter_mut().for_each(|f| *f = 0);
-        self.messages = 0;
-        self.total_hops = 0;
     }
 }
 
@@ -304,16 +322,6 @@ mod tests {
     }
 
     #[test]
-    fn home_spreads_lines() {
-        let m = Mesh::paper_16core();
-        let mut seen = std::collections::HashSet::new();
-        for i in 0..4096 {
-            seen.insert(m.home_of(LineAddr::new(i)).0);
-        }
-        assert_eq!(seen.len(), 16, "all nodes should home some line");
-    }
-
-    #[test]
     fn send_records_traffic_on_xy_path() {
         let mut m = Mesh::paper_16core();
         let lat = m.send(NodeId(0), NodeId(15));
@@ -330,16 +338,6 @@ mod tests {
         let mut m = Mesh::paper_16core();
         assert_eq!(m.send(NodeId(3), NodeId(3)), Cycles::ZERO);
         assert_eq!(m.total_hops(), 0);
-    }
-
-    #[test]
-    fn reset_clears_traffic() {
-        let mut m = Mesh::paper_16core();
-        m.send(NodeId(0), NodeId(15));
-        m.reset_stats();
-        assert_eq!(m.messages(), 0);
-        assert_eq!(m.max_link_flits(), 0);
-        assert_eq!(m.mean_link_flits(), 0.0);
     }
 
     #[test]
@@ -397,12 +395,57 @@ mod tests {
                     let (flits, hops, latency) = walked(&fresh, a, b);
                     let mut m = fresh.clone();
                     assert_eq!(m.send(a, b), latency, "{w}x{h} {a}->{b}");
-                    assert_eq!(m.link_flits(), &flits[..], "{w}x{h} {a}->{b}");
+                    assert_eq!(m.link_flits(), flits, "{w}x{h} {a}->{b}");
                     assert_eq!(m.total_hops(), hops, "{w}x{h} {a}->{b}");
                     assert_eq!(m.hops(a, b), hops);
                     assert_eq!(m.latency(a, b), latency);
                     assert_eq!(m.round_trip(a, b), latency * 2);
                 }
+            }
+        }
+    }
+
+    /// SplitMix64, for the seeded message sequences below.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    #[test]
+    fn derived_traffic_matches_the_walked_sum_over_random_sequences() {
+        for (w, h) in [(1, 1), (2, 8), (3, 3), (4, 4), (8, 8)] {
+            for seed in 1..=4u64 {
+                let mut m = Mesh::new(w, h, Cycles(3));
+                let n = m.nodes() as u64;
+                let mut state = seed * 0x1234_5678 + (w * 100 + h) as u64;
+                let (mut flits, mut hops, mut messages) = (vec![0; m.nodes() * 4], 0, 0);
+                for i in 0..500 {
+                    let a = NodeId((splitmix(&mut state) % n) as usize);
+                    let b = NodeId((splitmix(&mut state) % n) as usize);
+                    let (f, h_ab, latency) = walked(&m, a, b);
+                    assert_eq!(m.send(a, b), latency, "{w}x{h} seed {seed} {a}->{b}");
+                    flits.iter_mut().zip(&f).for_each(|(sum, f)| *sum += f);
+                    hops += h_ab;
+                    messages += 1;
+                    // Read back part-way too: reading changes nothing.
+                    if i % 97 == 0 {
+                        assert_eq!(m.link_flits(), flits, "{w}x{h} seed {seed} at {i}");
+                    }
+                }
+                assert_eq!(m.messages(), messages, "{w}x{h} seed {seed}");
+                assert_eq!(m.total_hops(), hops, "{w}x{h} seed {seed}");
+                assert_eq!(m.link_flits(), flits, "{w}x{h} seed {seed}");
+                assert_eq!(m.max_link_flits(), flits.iter().copied().max().unwrap_or(0));
+                let used = flits.iter().filter(|&&f| f > 0).count();
+                let mean = if used == 0 {
+                    0.0
+                } else {
+                    flits.iter().sum::<u64>() as f64 / used as f64
+                };
+                assert_eq!(m.mean_link_flits(), mean, "{w}x{h} seed {seed}");
             }
         }
     }

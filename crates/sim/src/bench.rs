@@ -24,7 +24,7 @@ use crate::config::{SystemConfig, VaultDesign};
 use crate::error::ConfigError;
 use crate::json::Json;
 use crate::registry::SystemSpec;
-use crate::run::{bound_by, RoundRobin, RunMode, RunStats, PROFILE_PHASES};
+use crate::run::{bound_by, overlap, RoundRobin, RunMode, RunStats, PROFILE_PHASES};
 use crate::workload::{SyntheticTrace, WorkloadSpec};
 use silo_coherence::ServedBy;
 use silo_obs::PhaseProfile;
@@ -541,7 +541,7 @@ fn profile_phase_obj(p: &PhaseProfile, i: usize) -> Vec<(String, Json)> {
 /// then one entry per profiled run keyed by the point dimensions. Each
 /// run carries its wall-clock, the part of it no calling-thread phase
 /// covers, the clock reads the profile took, the stage that bounds it,
-/// and per-phase accumulated nanoseconds, sample counts and shares of
+/// how far the two stages overlapped ([`overlap`]), and per-phase accumulated nanoseconds, sample counts and shares of
 /// the wall. Each root carries a `children` array of the same shape
 /// whose `ns` sum to the root's. Unprofiled runs contribute nothing.
 pub fn profile_json(records: &[BenchRecord]) -> Json {
@@ -574,6 +574,7 @@ pub fn profile_json(records: &[BenchRecord]) -> Json {
                 ),
                 ("clock_reads".into(), Json::Int(p.clock_reads().into())),
                 ("bound_by".into(), Json::Str(bound_by(p).into())),
+                ("overlap".into(), Json::Num(overlap(p))),
                 ("phases".into(), Json::Arr(phases)),
             ]));
         }
@@ -696,6 +697,8 @@ mod tests {
             .and_then(Json::as_str)
             .expect("bound_by");
         assert!(PROFILE_PHASES.contains(&bound), "{bound}");
+        let overlap = run.get("overlap").and_then(Json::as_f64).expect("overlap");
+        assert!((0.0..=1.0).contains(&overlap), "{overlap}");
         let phases = run.get("phases").and_then(Json::as_arr).expect("phases");
         assert_eq!(phases.len(), PROFILE_PHASES.len(), "top level lists roots");
         for (root, name) in phases.iter().zip(PROFILE_PHASES) {

@@ -1002,9 +1002,10 @@ fn print_profile(records: &[BenchRecord]) {
         }
     }
     println!(
-        "wall {:.2} ms, bound by {}, {:.2} ms unattributed, {} clock reads",
+        "wall {:.2} ms, bound by {} (overlap {:.2}), {:.2} ms unattributed, {} clock reads",
         p.wall_nanos() as f64 / 1e6,
         silo_sim::run::bound_by(&p),
+        silo_sim::run::overlap(&p),
         p.unattributed_nanos() as f64 / 1e6,
         p.clock_reads()
     );

@@ -179,15 +179,35 @@ const PH_ENGINE: usize = 4;
 const PH_EXECUTE: usize = 5;
 const PH_ENGINE_WAIT: usize = 6;
 
-/// The stage that bounds a profiled run: the root of [`PROFILE_TREE`]
-/// with the larger busy time (its phases other than `wait`).
-pub fn bound_by(p: &PhaseProfile) -> &'static str {
+/// The busy time of each root of [`PROFILE_TREE`] (its phases other
+/// than `wait`): `(caller, engine)` nanoseconds.
+fn busy(p: &PhaseProfile) -> (u64, u64) {
     let ns = p.nanos();
-    if ns[PH_EXECUTE] >= ns[PH_PULL] + ns[PH_RETIRE] {
+    (ns[PH_PULL] + ns[PH_RETIRE], ns[PH_EXECUTE])
+}
+
+/// The stage that bounds a profiled run: the root of [`PROFILE_TREE`]
+/// with the larger busy time.
+pub fn bound_by(p: &PhaseProfile) -> &'static str {
+    let (caller, engine) = busy(p);
+    if engine >= caller {
         PROFILE_PHASES[1]
     } else {
         PROFILE_PHASES[0]
     }
+}
+
+/// How far the two stages of a profiled run ran at the same time:
+/// (caller busy + engine busy − wall) / the smaller busy time, in
+/// `[0, 1]`. 1 means the shorter stage ran entirely alongside the
+/// longer one, so the longer one bounds the wall; near 0 means the
+/// stages took turns, as when two threads share one CPU, and the wall
+/// is their sum whichever [`bound_by`] names. Always 0 under the inline
+/// executor, where one thread runs both stages.
+pub fn overlap(p: &PhaseProfile) -> f64 {
+    let (caller, engine) = busy(p);
+    let together = (caller + engine).saturating_sub(p.wall_nanos());
+    ratio(together, caller.min(engine)).min(1.0)
 }
 
 /// One thread's side of a profiled run: a stopwatch whose every lap
@@ -259,7 +279,6 @@ fn nanos(d: Duration) -> u64 {
 }
 
 /// The telemetry-side service-level tag of a coherence classification.
-/// The telemetry-side service-level tag of a coherence classification.
 fn service_level(s: ServedBy) -> ServiceLevel {
     match s {
         ServedBy::L1 => ServiceLevel::L1,
@@ -289,14 +308,20 @@ pub struct ServedCounts {
 }
 
 impl ServedCounts {
-    fn record(&mut self, s: ServedBy) {
-        match s {
-            ServedBy::L1 => self.l1.inc(),
-            ServedBy::L2 => self.l2.inc(),
-            ServedBy::LocalVault => self.local_vault.inc(),
-            ServedBy::RemoteVault => self.remote_vault.inc(),
-            ServedBy::SharedLlc => self.shared_llc.inc(),
-            ServedBy::Memory => self.memory.inc(),
+    /// The counts of a [`ServedLevels`] tally.
+    fn of(levels: &ServedLevels) -> Self {
+        let [l1, l2, local_vault, remote_vault, shared_llc, memory] = levels.0.map(|n| {
+            let mut c = Counter::new();
+            c.add(n);
+            c
+        });
+        ServedCounts {
+            l1,
+            l2,
+            local_vault,
+            remote_vault,
+            shared_llc,
+            memory,
         }
     }
 
@@ -321,6 +346,19 @@ impl ServedCounts {
             ServedBy::Memory => self.memory.get(),
         };
         ratio(n, self.total())
+    }
+}
+
+/// The retire loop's served-level tally: one count per [`ServedBy`]
+/// variant, indexed by its discriminant, so recording an access is one
+/// indexed increment instead of a match.
+#[derive(Clone, Copy, Debug, Default)]
+struct ServedLevels([u64; 6]);
+
+impl ServedLevels {
+    #[inline]
+    fn record(&mut self, s: ServedBy) {
+        self.0[s as usize] += 1;
     }
 }
 
@@ -374,8 +412,7 @@ impl RunStats {
 /// per-miss path never allocates. Entries are an unordered multiset —
 /// the stall rules below depend only on the completion-time *values*
 /// (drop everything `<= issue`, stall to the minimum when full), so
-/// removal is swap-with-last and the results stay bit-identical to the
-/// old growable-`Vec` bookkeeping.
+/// the order removals leave behind never changes a result.
 #[derive(Clone, Debug)]
 struct Mshrs {
     done: Box<[Cycles]>,
@@ -390,18 +427,18 @@ impl Mshrs {
         }
     }
 
-    /// Retires every miss completed by the issue point.
+    /// Retires every miss completed by the issue point: compacts the
+    /// still-outstanding ones to the front, without a data-dependent
+    /// branch.
     #[inline]
     fn drop_completed(&mut self, issue: Cycles) {
-        let mut i = 0;
-        while i < self.len {
-            if self.done[i] <= issue {
-                self.len -= 1;
-                self.done[i] = self.done[self.len];
-            } else {
-                i += 1;
-            }
+        let mut kept = 0;
+        for i in 0..self.len {
+            let done = self.done[i];
+            self.done[kept] = done;
+            kept += usize::from(done > issue);
         }
+        self.len = kept;
     }
 
     /// Frees a slot for the next miss: while every MSHR is busy, stall
@@ -515,16 +552,17 @@ struct MeasureBase {
 }
 
 /// The cumulative environment snapshot handed to the timeline at an
-/// epoch boundary.
+/// epoch boundary; `link_flits` is the mesh's, derived by the caller.
 fn epoch_env<'a>(
     cores: &[CoreState],
-    timing: &'a TimingModel,
+    timing: &TimingModel,
+    link_flits: &'a [u64],
     meter: &MeterConfig,
 ) -> EpochEnv<'a> {
     EpochEnv {
         cycles: makespan(cores).as_u64(),
         mesh_messages: timing.mesh().messages(),
-        link_flits: timing.mesh().link_flits(),
+        link_flits,
         vault_busy_cycles: timing.vault_busy_cycles(),
         vault_banks: timing.vault_banks_total(),
         warmup_refs: meter.warmup_refs,
@@ -822,7 +860,7 @@ impl Executed {
 struct Retirer<'m> {
     meter: &'m MeterConfig,
     cores: Vec<CoreState>,
-    served: ServedCounts,
+    served: ServedLevels,
     llc_accesses: u64,
     llc: LatencyHists,
     timeline: Timeline,
@@ -852,7 +890,7 @@ impl<'m> Retirer<'m> {
         Retirer {
             meter,
             cores: (0..cfg.cores).map(|_| CoreState::new(cfg.mlp)).collect(),
-            served: ServedCounts::default(),
+            served: ServedLevels::default(),
             llc_accesses: 0,
             llc: LatencyHists::new(),
             sampling: timeline.enabled(),
@@ -980,8 +1018,9 @@ impl<'m> Retirer<'m> {
             self.timeline
                 .record_ref(service_level(x.served), instructions, latency);
             if self.timeline.epoch_full() {
+                let flits = timing.mesh().link_flits();
                 self.timeline
-                    .flush(&epoch_env(&self.cores, timing, self.meter));
+                    .flush(&epoch_env(&self.cores, timing, &flits, self.meter));
             }
         }
         if self.warmup_pending && self.processed >= self.meter.warmup_refs {
@@ -995,7 +1034,7 @@ impl<'m> Retirer<'m> {
     /// most once per run.
     fn end_warmup(&mut self, timing: &TimingModel) {
         self.warmup_pending = false;
-        self.served = ServedCounts::default();
+        self.served = ServedLevels::default();
         self.llc_accesses = 0;
         self.llc.reset();
         self.base = MeasureBase {
@@ -1003,7 +1042,7 @@ impl<'m> Retirer<'m> {
             cycles: makespan(&self.cores).as_u64(),
             mesh_messages: timing.mesh().messages(),
             mesh_hops: timing.mesh().total_hops(),
-            link_flits: timing.mesh().link_flits().to_vec(),
+            link_flits: timing.mesh().link_flits(),
             vault_busy: timing.vault_busy_cycles(),
             memory_accesses: timing.memory_accesses(),
         };
@@ -1025,15 +1064,15 @@ impl<'m> Retirer<'m> {
             self.end_warmup(timing);
             engine.reset_coherence_stats();
         }
+        let mesh = timing.mesh();
+        let link_flits = mesh.link_flits();
         self.timeline
-            .finish(&epoch_env(&self.cores, timing, self.meter));
+            .finish(&epoch_env(&self.cores, timing, &link_flits, self.meter));
 
         let base = &self.base;
-        let mesh = timing.mesh();
         let mesh_messages = mesh.messages() - base.mesh_messages;
         let mesh_total_hops = mesh.total_hops() - base.mesh_hops;
-        let mesh_max_link_flits = mesh
-            .link_flits()
+        let mesh_max_link_flits = link_flits
             .iter()
             .enumerate()
             .map(|(l, &f)| f - base.link_flits.get(l).copied().unwrap_or(0))
@@ -1045,7 +1084,7 @@ impl<'m> Retirer<'m> {
             instructions: self.cores.iter().map(|c| c.instructions).sum::<u64>()
                 - base.instructions,
             cycles: Cycles(makespan(&self.cores).as_u64() - base.cycles),
-            served: self.served,
+            served: ServedCounts::of(&self.served),
             llc_accesses: self.llc_accesses,
             llc_latency: self.llc.linear,
             mesh_messages,
@@ -1536,9 +1575,11 @@ mod tests {
             assert_eq!(p.clock_reads(), again.clock_reads());
             assert!(p.unattributed_nanos() <= p.wall_nanos());
             assert!(PROFILE_PHASES.contains(&bound_by(&p)));
+            assert!((0.0..=1.0).contains(&overlap(&p)), "{executor:?}");
             if executor == Executor::Inline {
                 assert_eq!(p.nanos()[PH_CALLER_WAIT], 0);
                 assert_eq!(p.nanos()[PH_ENGINE_WAIT], 0);
+                assert_eq!(overlap(&p), 0.0);
             }
         }
     }
@@ -1910,5 +1951,94 @@ mod tests {
         // step panics on the calling thread while the engine thread
         // still has batches to run.
         faulty_run(Executor::Threaded, u64::MAX, TimingModel::baseline);
+    }
+
+    /// The swap-with-last MSHR removal [`Mshrs::drop_completed`]
+    /// replaced, with the same [`Mshrs::acquire`] rule.
+    struct SwapRemoveMshrs {
+        done: Vec<Cycles>,
+        mlp: usize,
+    }
+
+    impl SwapRemoveMshrs {
+        fn drop_completed(&mut self, issue: Cycles) {
+            let mut i = 0;
+            while i < self.done.len() {
+                if self.done[i] <= issue {
+                    self.done.swap_remove(i);
+                } else {
+                    i += 1;
+                }
+            }
+        }
+
+        fn acquire(&mut self, mut issue: Cycles) -> Cycles {
+            while self.done.len() >= self.mlp {
+                let mut idx = 0;
+                for j in 1..self.done.len() {
+                    if self.done[j] < self.done[idx] {
+                        idx = j;
+                    }
+                }
+                issue = issue.max(self.done[idx]);
+                self.done.swap_remove(idx);
+            }
+            issue
+        }
+    }
+
+    #[test]
+    fn mshr_compaction_matches_swap_remove() {
+        use crate::workload::Rng;
+        for mlp in 1..=8 {
+            for seed in 0..8u64 {
+                let mut rng = Rng::new(seed * 31 + mlp as u64);
+                let mut new = Mshrs::new(mlp);
+                let mut old = SwapRemoveMshrs {
+                    done: Vec::new(),
+                    mlp,
+                };
+                let mut cursor = 0u64;
+                for step in 0..2_000 {
+                    // Small strides and latencies make ties and
+                    // equal-to-issue completions common.
+                    cursor += rng.below(8);
+                    let issue = Cycles(cursor);
+                    new.drop_completed(issue);
+                    old.drop_completed(issue);
+                    let (a, b) = (new.acquire(issue), old.acquire(issue));
+                    assert_eq!(a, b, "mlp {mlp} seed {seed} step {step}: issue");
+                    let done = a + Cycles(rng.below(40));
+                    new.push(done);
+                    old.done.push(done);
+                    let mut left = new.done[..new.len].to_vec();
+                    let mut right = old.done.clone();
+                    left.sort_unstable();
+                    right.sort_unstable();
+                    assert_eq!(left, right, "mlp {mlp} seed {seed} step {step}: multiset");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn served_levels_count_each_level_in_its_own_field() {
+        let levels = [
+            ServedBy::L1,
+            ServedBy::L2,
+            ServedBy::LocalVault,
+            ServedBy::RemoteVault,
+            ServedBy::SharedLlc,
+            ServedBy::Memory,
+        ];
+        for (i, &level) in levels.iter().enumerate() {
+            let mut tally = ServedLevels::default();
+            for _ in 0..=i {
+                tally.record(level);
+            }
+            let counts = ServedCounts::of(&tally);
+            assert_eq!(counts.total(), i as u64 + 1, "{level:?}");
+            assert_eq!(counts.fraction(level), 1.0, "{level:?}");
+        }
     }
 }

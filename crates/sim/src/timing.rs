@@ -259,7 +259,7 @@ mod tests {
                 &[Step::Invalidations { home: 5, mask }],
                 &[],
             );
-            (done, m.mesh().messages(), m.mesh().link_flits().to_vec())
+            (done, m.mesh().messages(), m.mesh().link_flits())
         };
         let victims = (1 << 0) | (1 << 10) | (1 << 15);
         assert_eq!(inv(victims | (1 << 16) | (1 << 63)), inv(victims));

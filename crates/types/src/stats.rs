@@ -128,10 +128,14 @@ impl Histogram {
     }
 
     /// Bucket index of a value under the active bucketing (clamped to the
-    /// last bucket for linear overflow).
+    /// last bucket for linear overflow). A power-of-two width shifts
+    /// instead of dividing.
+    #[inline]
     fn bucket_of(&self, value: u64) -> usize {
         let idx = if self.log2 {
             (u64::BITS - value.leading_zeros()) as usize
+        } else if self.bucket_width.is_power_of_two() {
+            (value >> self.bucket_width.trailing_zeros()) as usize
         } else {
             (value / self.bucket_width) as usize
         };
@@ -160,6 +164,7 @@ impl Histogram {
     }
 
     /// Records one sample.
+    #[inline]
     pub fn record(&mut self, value: u64) {
         let idx = self.bucket_of(value);
         self.buckets[idx] += 1;
@@ -447,6 +452,21 @@ mod tests {
         assert_eq!(h.max(), u64::MAX);
         // Every quantile stays within the recorded range.
         assert!(h.percentile(0.01) <= h.percentile(0.99));
+    }
+
+    #[test]
+    fn linear_buckets_equal_division_for_every_width() {
+        for width in 1..=64u64 {
+            let n_buckets = 16;
+            let mut h = Histogram::new(width, n_buckets);
+            let mut expected = vec![0u64; n_buckets + 1];
+            let values = (0..width * 20).chain([u64::MAX - 1, u64::MAX]);
+            for v in values {
+                h.record(v);
+                expected[((v / width) as usize).min(n_buckets)] += 1;
+            }
+            assert_eq!(h.bucket_counts(), &expected[..], "width {width}");
+        }
     }
 
     #[test]
